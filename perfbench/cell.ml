@@ -1,6 +1,7 @@
 (* One simulator run inside a workload round, reduced to the virtual
    results it produced. The canonical dump lists every field in a fixed
-   order (counters and accounts sorted by name), and its MD5 is the
+   order (counters, accounts and model results sorted by name), and its
+   MD5 is the
    digest the benchmark checks: a change that moves any virtual cycle,
    counter or op latency changes the digest. Executor bookkeeping
    (Engine idle and burst jumps) is deliberately not part of it. *)
@@ -15,10 +16,12 @@ type t = {
   ops : int;  (** Completed ops. *)
   counters : (string * int) list;
   accounts : (string * int64) list;  (** Totals plus per-core buckets. *)
+  results : (string * int64) list;
+      (** Figures a model returns beside its machine, such as lock statistics. *)
   latencies : int array;  (** Per-op virtual latency, in op order. *)
 }
 
-let of_machine ~name ~ops ~latencies (m : Machine.t) =
+let of_machine ?(results = []) ~name ~ops ~latencies (m : Machine.t) =
   let acc = m.Machine.accounts in
   let per_cpu =
     List.init (Accounts.cpus_seen acc) (fun cpu ->
@@ -32,6 +35,7 @@ let of_machine ~name ~ops ~latencies (m : Machine.t) =
     ops;
     counters = Counter.to_list m.Machine.counters;
     accounts = Accounts.to_list acc @ List.concat per_cpu;
+    results;
     latencies;
   }
 
@@ -44,6 +48,9 @@ let dump t =
   List.iter
     (fun (k, v) -> Printf.bprintf b "account %s %Ld\n" k v)
     (List.sort compare t.accounts);
+  List.iter
+    (fun (k, v) -> Printf.bprintf b "result %s %Ld\n" k v)
+    (List.sort compare t.results);
   Printf.bprintf b "latencies %d\n" (Array.length t.latencies);
   Array.iter
     (fun l ->

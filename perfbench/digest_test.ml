@@ -45,6 +45,7 @@ let () =
       ("clock", { c with Cell.clock = Int64.succ c.Cell.clock });
       ("ops", { c with Cell.ops = c.Cell.ops + 1 });
       ("last latency", { c with Cell.latencies = [| 10; 20; 30; 41 |] });
+      ("model results", { c with Cell.results = [ ("gnt_contended", 1L) ] });
       ( "last account",
         {
           c with

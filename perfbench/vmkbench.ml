@@ -25,6 +25,7 @@ module Rng = Vmk_sim.Rng
 module Sys_g = Vmk_guest.Sys
 module Svmm = Vmk_vmm.Smp_vmm
 module Cluster = Vmk_ukernel.Smp_cluster
+module Summary = Vmk_stats.Summary
 
 let default_seed = 1
 
@@ -32,7 +33,7 @@ let default_seed = 1
 
 let sat_packets = 4_000 (* saturated Single_dom0 cell; its backlog grows all run *)
 let paced_packets = 50_000 (* per paced cell *)
-let mix_ops = 6_000 (* guest ops per stack *)
+let mix_blocks = 100 (* 117-op blocks of guest ops per stack; see [mix_program] *)
 let day_pkt_gap = 20_000 (* cycles between packets of one flow *)
 
 (* --- per-round accounting --- *)
@@ -99,12 +100,10 @@ let charge r ~cell a b =
 
 let note_machine r (m : Machine.t) =
   r.idle_jumps <- r.idle_jumps + Engine.idle_jumps m.Machine.engine;
-  r.burst_jumps <- r.burst_jumps + Engine.burst_jumps m.Machine.engine
+  r.burst_jumps <- r.burst_jumps + Engine.burst_jumps m.Machine.engine;
+  r.nic_drops <- r.nic_drops + Nic.rx_dropped m.Machine.nic
 
-let median_int l =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  a.(Array.length a / 2)
+let median_int l = int_of_float (Summary.median (Summary.of_list (List.map float_of_int l)))
 
 (* --- the real single-core stacks (Core.Scenario) --- *)
 
@@ -151,7 +150,6 @@ let testbed_cell r tr ~cell ~seed ~stack ~traffic ~body =
   | None -> r.setup_ns <- r.setup_ns + (stop.t - t_call));
   let m = Option.get !mach in
   note_machine r m;
-  r.nic_drops <- r.nic_drops + Nic.rx_dropped m.Machine.nic;
   m
 
 (* --- io_day: seeded open-loop day replayed into both stacks --- *)
@@ -240,21 +238,31 @@ let io_day_round r tr ~seed =
 
 (* --- guest_mix: a seed-drawn sequence of guest syscalls --- *)
 
-(* One int per op: the kind in the low two bits (0 getpid, 1 burn,
+(* The op mix of the repository's own mixed guest workload, [Apps.mixed]
+   at its defaults (the E1, E5 and E9 app): per round, 10 [getpid], one
+   2,000-cycle [burn], a 512-byte [net_send] every 2nd round and a block
+   write plus verified read every 5th. Ten such rounds are one block of
+   100 + 10 + 5 + 2 ops; the program is [mix_blocks] blocks. The seed
+   draws the order of the ops and each block op's sector (0-127, the
+   range [Apps.mixed] cycles through); the counts and arguments are fixed,
+   so per-op costs do not drift with the seed.
+
+   One int per op: the kind in the low two bits (0 getpid, 1 burn,
    2 net_send, 3 blk_write + blk_read), its argument above (cycles, bytes,
-   sector). The mix is fixed at 45/25/18/12 percent; the seed draws the
-   arguments and the order, so per-op costs do not drift with the seed's
-   share of expensive ops. *)
+   sector). *)
 let mix_program ~seed =
   let rng = Rng.create ~seed:(Int64.of_int seed) () in
-  let prog =
-    Array.init mix_ops (fun i ->
-        let p = i * 100 / mix_ops in
-        if p < 45 then 0
-        else if p < 70 then 1 lor ((20_000 + Rng.int rng 380_000) lsl 2)
-        else if p < 88 then 2 lor ((64 + Rng.int rng 1400) lsl 2)
-        else 3 lor (Rng.int rng 128 lsl 2))
+  let block =
+    List.concat
+      [
+        List.init 100 (fun _ -> 0);
+        List.init 10 (fun _ -> 1 lor (2_000 lsl 2));
+        List.init 5 (fun _ -> 2 lor (512 lsl 2));
+        List.init 2 (fun _ -> 3);
+      ]
   in
+  let prog = Array.of_list (List.concat (List.init mix_blocks (fun _ -> block))) in
+  Array.iteri (fun i op -> if op = 3 then prog.(i) <- 3 lor (Rng.int rng 128 lsl 2)) prog;
   Rng.shuffle rng prog;
   prog
 
@@ -325,8 +333,18 @@ let smp_cells =
     ("colocated", Colocated, paced_packets);
   ]
 
+type smp_result = {
+  completed : int;
+  mach : Machine.t;
+  acquisitions : int;  (** Of the model's shared lock. *)
+  contended : int;
+  lock_stats : (string * int64) list;  (** Go into the cell's digest. *)
+}
+
 (* The E14 period saturates the single Dom0; the paced cells run at a
-   period their backends keep up with, so their backlogs stay short. *)
+   period their backends keep up with, so their backlogs stay short. The
+   models return no per-packet latency, so these cells are pinned by
+   clock, counters, accounts and lock statistics only. *)
 let smp_run ~seed ~packets kind =
   let seed = Int64.of_int seed in
   match kind with
@@ -338,7 +356,18 @@ let smp_run ~seed ~packets kind =
       in
       let cfg = { (Svmm.default ~backend ~cores:8 ()) with Svmm.packets; period } in
       let res = Svmm.run ~seed cfg in
-      (res.Svmm.completed, res.Svmm.mach, res.Svmm.gnt_acquisitions, res.Svmm.gnt_contended)
+      {
+        completed = res.Svmm.completed;
+        mach = res.Svmm.mach;
+        acquisitions = res.Svmm.gnt_acquisitions;
+        contended = res.Svmm.gnt_contended;
+        lock_stats =
+          [
+            ("gnt_acquisitions", Int64.of_int res.Svmm.gnt_acquisitions);
+            ("gnt_contended", Int64.of_int res.Svmm.gnt_contended);
+            ("gnt_spin", res.Svmm.gnt_spin);
+          ];
+      }
   | Colocated ->
       let cfg =
         { (Cluster.default ~placement:Cluster.Colocated ~cores:8 ()) with
@@ -347,27 +376,35 @@ let smp_run ~seed ~packets kind =
         }
       in
       let res = Cluster.run ~seed cfg in
-      ( res.Cluster.completed,
-        res.Cluster.mach,
-        res.Cluster.mapdb_acquisitions,
-        res.Cluster.mapdb_contended )
+      {
+        completed = res.Cluster.completed;
+        mach = res.Cluster.mach;
+        acquisitions = res.Cluster.mapdb_acquisitions;
+        contended = res.Cluster.mapdb_contended;
+        lock_stats =
+          [
+            ("mapdb_acquisitions", Int64.of_int res.Cluster.mapdb_acquisitions);
+            ("mapdb_contended", Int64.of_int res.Cluster.mapdb_contended);
+            ("mapdb_spin", res.Cluster.mapdb_spin);
+          ];
+      }
 
 let smp_span = function
   | Single_dom0 | Driver_domains -> "vmm.smp_vmm_run"
   | Colocated -> "ukernel.smp_cluster_run"
 
-(* One timed SMP cell: (host ns, minor words, completed, machine). *)
+(* One timed SMP cell: (host ns, minor words, the model's result). *)
 let smp_timed r tr ~cell ~seed ~packets kind =
   let a = mark () in
   let sp = Span.enter tr (smp_span kind) in
-  let completed, m, acq, cont = smp_run ~seed ~packets kind in
+  let res = smp_run ~seed ~packets kind in
   Span.leave tr sp;
   let b = mark () in
   charge r ~cell a b;
-  note_machine r m;
-  r.lock_acq <- r.lock_acq + acq;
-  r.lock_cont <- r.lock_cont + cont;
-  (b.t - a.t, b.minor -. a.minor, completed, m)
+  note_machine r res.mach;
+  r.lock_acq <- r.lock_acq + res.acquisitions;
+  r.lock_cont <- r.lock_cont + res.contended;
+  (b.t - a.t, b.minor -. a.minor, res)
 
 let smp_storm_round r tr ~seed =
   (* The models build their machine inside [run], so set-up is measured
@@ -384,11 +421,15 @@ let smp_storm_round r tr ~seed =
   List.iter
     (fun (name, kind, packets) ->
       let cell = "smp_storm/" ^ name in
-      let ns, words, completed, m = smp_timed r tr ~cell ~seed ~packets kind in
+      let ns, words, res = smp_timed r tr ~cell ~seed ~packets kind in
+      let completed = res.completed in
       r.smp <- { sc_name = name; sc_ops = completed; sc_ns = ns; sc_words = words } :: r.smp;
       r.attempted <- r.attempted + packets;
       r.failed <- r.failed + (packets - completed);
-      r.cells <- Cell.of_machine ~name:cell ~ops:completed ~latencies:[||] m :: r.cells)
+      r.cells <-
+        Cell.of_machine ~results:res.lock_stats ~name:cell ~ops:completed ~latencies:[||]
+          res.mach
+        :: r.cells)
     smp_cells
 
 let workloads =
@@ -448,41 +489,31 @@ let check ck tr r =
 
 (* --- statistics --- *)
 
-let sorted a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  a
-
-(* Nearest-rank quantile of a non-empty array. *)
-let quantile a q =
-  let a = sorted a in
-  let n = Array.length a in
-  a.(max 0 (min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1)))
-
-let median a = if Array.length a = 0 then nan else quantile a 0.5
+(* Order statistics of a sample; 0 when it is empty. *)
+let percentile a p = Summary.percentile (Summary.of_list (Array.to_list a)) p
+let median a = percentile a 50.0
 let fsum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
 let isum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 let per_op rounds v = v /. float_of_int (isum ops rounds)
 let ops_per_s r = float_of_int (ops r) /. (float_of_int r.timed_ns /. 1e9)
 
-(* Interference on a shared host only ever slows a cell down, so each
-   cell's fastest timed phase over the run's rounds is the estimate of its
-   cost. Rounds are identical work, so any round's op count will do. *)
-let fastest_ops_per_s rounds =
-  let best = Hashtbl.create 8 in
+(* Throughput over a run: a round's ops over the sum, across its cells, of
+   each cell's median timed phase. Rounds are identical work, so any
+   round's op count will do; per-cell medians keep one slow or lucky
+   round from moving the figure. *)
+let median_ops_per_s rounds =
+  let cells = Hashtbl.create 8 in
   List.iter
     (fun r ->
       List.iter
         (fun (c, ns) ->
-          match Hashtbl.find_opt best c with
-          | Some b when b <= ns -> ()
-          | _ -> Hashtbl.replace best c ns)
+          let l = Option.value (Hashtbl.find_opt cells c) ~default:[] in
+          Hashtbl.replace cells c (float_of_int ns :: l))
         r.cell_ns)
     rounds;
-  let ns = Hashtbl.fold (fun _ ns acc -> acc + ns) best 0 in
-  match rounds with
-  | [] -> nan
-  | r :: _ -> float_of_int (ops r) /. (float_of_int ns /. 1e9)
+  let ns = Hashtbl.fold (fun _ l acc -> acc +. median (Array.of_list l)) cells 0.0 in
+  match rounds with [] -> nan | r :: _ -> float_of_int (ops r) /. (ns /. 1e9)
+
 let words_per_op r = r.words /. float_of_int (ops r)
 
 (* --- the untraced run: end-to-end metrics --- *)
@@ -511,16 +542,14 @@ let drive ~seconds ~ck ~seed ~f tr_of =
   done;
   List.rev !rounds
 
-(* Times are the fastest round's (cell's, for throughput): on a shared
-   host interference only adds time, and a median flips between the
-   host's fast and slow spells. Counts are medians. *)
+(* Times and counts are medians over the run's rounds. *)
 let end_to_end rounds =
   let arr f = Array.of_list (List.map f rounds) in
   [
-    ("sim_ops_per_s", fastest_ops_per_s rounds, "1/s");
+    ("sim_ops_per_s", median_ops_per_s rounds, "1/s");
     ("minor_words_per_op", median (arr words_per_op), "words");
     ("peak_heap_mb", !first_round_heap_mb, "MB");
-    ("setup_s", Array.fold_left min infinity (arr (fun r -> float_of_int r.setup_ns /. 1e9)), "s");
+    ("setup_s", median (arr (fun r -> float_of_int r.setup_ns /. 1e9)), "s");
   ]
 
 (* --- the traced run: per-layer metrics --- *)
@@ -543,37 +572,40 @@ let engine_probe tr ~seed =
       if !fired <> n then failwith "engine probe: events lost";
       float_of_int (Span.now_ns () - t0) /. float_of_int n)
 
+(* A span the traced workload never entered reads 0 with n = 0. *)
 let span_stats name unit fs =
-  if Array.length fs = 0 then [ (name ^ ".n", 0.0, "count") ]
-  else
-    [
-      (name ^ ".p50", quantile fs 0.5, unit);
-      (name ^ ".p99", quantile fs 0.99, unit);
-      (name ^ ".n", float_of_int (Array.length fs), "count");
-    ]
+  [
+    (name ^ ".p50", percentile fs 50.0, unit);
+    (name ^ ".p99", percentile fs 99.0, unit);
+    (name ^ ".n", float_of_int (Array.length fs), "count");
+  ]
 
 let count rounds name = isum (fun r -> isum (fun c -> Cell.counter c name) r.cells) rounds
 let count_of rounds f = per_op rounds (float_of_int (isum f rounds))
 
-let per_layer ~w_rounds ~untraced ~traced ~smp_rounds ~half_words ~event_ns recorders =
+(* Every per-layer figure comes from the traced workload's own rounds,
+   except [sim.event_ns], a fixed probe run in every traced run. A layer
+   the workload does not reach reads 0 (spans: n = 0). *)
+let per_layer ~rounds ~untraced ~traced ~half_words ~event_ns recorders =
   let durations name =
     Array.map float_of_int
       (Array.concat (List.map (fun (_, t) -> Span.durations t name) recorders))
   in
-  let counter name = per_op w_rounds (float_of_int (count w_rounds name)) in
+  let counter name = per_op rounds (float_of_int (count rounds name)) in
   let smp_cells names =
-    List.concat_map
-      (fun r -> List.filter (fun c -> List.mem c.sc_name names) r.smp)
-      smp_rounds
+    List.concat_map (fun r -> List.filter (fun c -> List.mem c.sc_name names) r.smp) rounds
   in
   let smp_ratio num cells =
     median (Array.of_list (List.map (fun c -> num c /. float_of_int c.sc_ops) cells))
   in
   let sat = smp_cells [ "single_dom0" ] and paced = smp_cells [ "driver_domains"; "colocated" ] in
   let ns c = float_of_int c.sc_ns and words c = c.sc_words in
-  let smp_ops = isum (fun r -> isum (fun c -> c.sc_ops) r.smp) smp_rounds in
-  let lock_acq = isum (fun r -> r.lock_acq) smp_rounds
-  and lock_cont = isum (fun r -> r.lock_cont) smp_rounds in
+  let smp_ops = isum (fun r -> isum (fun c -> c.sc_ops) r.smp) rounds in
+  let lock_acq = isum (fun r -> r.lock_acq) rounds
+  and lock_cont = isum (fun r -> r.lock_cont) rounds in
+  let words_growth =
+    match half_words with Some h -> smp_ratio words sat /. h | None -> 0.0
+  in
   let guest_spans =
     List.concat_map
       (fun call ->
@@ -586,30 +618,27 @@ let per_layer ~w_rounds ~untraced ~traced ~smp_rounds ~half_words ~event_ns reco
           [ "xen"; "l4" ])
       [ "net_recv"; "getpid"; "burn"; "net_send"; "blk_write"; "blk_read" ]
   in
-  let median_ms name =
-    let d = durations name in
-    if Array.length d = 0 then 0.0 else median d /. 1e6
-  in
-  let attempted = isum (fun r -> r.attempted) w_rounds
-  and failed = isum (fun r -> r.failed) w_rounds in
+  let median_ms name = median (durations name) /. 1e6 in
+  let attempted = isum (fun r -> r.attempted) rounds
+  and failed = isum (fun r -> r.failed) rounds in
   span_stats "sim.event_ns" "ns" event_ns
   @ [
-      ("sim.idle_jumps_per_op", count_of w_rounds (fun r -> r.idle_jumps), "count");
-      ("sim.burst_jumps_per_op", count_of w_rounds (fun r -> r.burst_jumps), "count");
+      ("sim.idle_jumps_per_op", count_of rounds (fun r -> r.idle_jumps), "count");
+      ("sim.burst_jumps_per_op", count_of rounds (fun r -> r.burst_jumps), "count");
       ("smp.backlog_ns_per_op", smp_ratio ns sat, "ns");
       ("smp.backlog_words_per_op", smp_ratio words sat, "words");
       ("smp.paced_ns_per_op", smp_ratio ns paced, "ns");
       ("smp.paced_words_per_op", smp_ratio words paced, "words");
-      ("smp.words_growth", smp_ratio words sat /. half_words, "ratio");
+      ("smp.words_growth", words_growth, "ratio");
       ("smp.lock_contended_frac", float_of_int lock_cont /. float_of_int (max 1 lock_acq), "ratio");
-      ("smp.ipi_per_op", float_of_int (count smp_rounds "smp.ipi") /. float_of_int (max 1 smp_ops), "count");
+      ("smp.ipi_per_op", float_of_int (count rounds "smp.ipi") /. float_of_int (max 1 smp_ops), "count");
       ("vmm.hypercall_per_op", counter "vmm.hypercall", "count");
       ("vmm.world_switch_per_op", counter "vmm.world_switch", "count");
       ("vmm.page_flip_per_op", counter "vmm.page_flip", "count");
       ("cap.minted_per_op", counter "cap.minted", "count");
       ("ukernel.ipc_per_op", counter "uk.ipc.rendezvous", "count");
       ("ukernel.space_switch_per_op", counter "uk.space_switch", "count");
-      ("hw.nic_drop", float_of_int (isum (fun r -> r.nic_drops) w_rounds), "count");
+      ("hw.nic_drop", float_of_int (isum (fun r -> r.nic_drops) rounds), "count");
     ]
   @ guest_spans
   @ [
@@ -621,7 +650,7 @@ let per_layer ~w_rounds ~untraced ~traced ~smp_rounds ~half_words ~event_ns reco
         "count" );
       ("gc.promoted_words_per_op", per_op untraced (fsum (fun (r : round) -> r.promoted) untraced), "words");
       ( "trace.overhead_frac",
-        (fastest_ops_per_s traced /. fastest_ops_per_s untraced) -. 1.0,
+        (median_ops_per_s traced /. median_ops_per_s untraced) -. 1.0,
         "ratio" );
       ("failed_frac", float_of_int failed /. float_of_int (max 1 attempted), "ratio");
     ]
@@ -684,29 +713,15 @@ let () =
   in
   let seed = !seed and seconds = !seconds in
   let expected = if seed = default_seed then Some (load_expected !digests) else None in
-  let new_checker () = { expected; first = Hashtbl.create 16; mismatches = [] } in
-  let ck = new_checker () in
-  let rounds, metrics, companions =
+  let ck = { expected; first = Hashtbl.create 16; mismatches = [] } in
+  let rounds, metrics =
     if !trace = 0 then begin
       let rounds = drive ~seconds ~ck ~seed ~f (fun _ -> Span.off) in
-      (rounds, end_to_end rounds, [])
+      (rounds, end_to_end rounds)
     end
     else begin
-      (* Every other workload runs two traced rounds, so each per-layer
-         metric has samples whichever workload is traced. *)
-      let companions =
-        List.filter_map
-          (fun (name, g) ->
-            if String.equal name !workload then None
-            else begin
-              let tr = Span.create () and ck' = new_checker () in
-              let rs = drive ~seconds:0.0 ~ck:ck' ~seed ~f:g (fun _ -> tr) in
-              Some (name, tr, rs, ck'.mismatches)
-            end)
-          workloads
-      in
-      (* The traced workload alternates untraced and traced rounds, so
-         the tracing overhead is measured under the same conditions. *)
+      (* Untraced and traced rounds alternate, so the tracing overhead is
+         measured under the same conditions. *)
       let tr = Span.create () in
       let rounds =
         drive ~seconds ~ck ~seed ~f (fun i ->
@@ -716,41 +731,30 @@ let () =
       and traced = List.filteri (fun i _ -> i mod 2 = 1) rounds in
       let probe = Span.create () in
       let event_ns = engine_probe probe ~seed in
+      (* The half-size saturated cell behind smp.words_growth. *)
       let half_words =
-        let _, words, completed, _ =
-          smp_timed (new_round ()) probe ~cell:"probe" ~seed ~packets:(sat_packets / 2)
-            Single_dom0
-        in
-        words /. float_of_int completed
+        if String.equal !workload "smp_storm" then begin
+          let _, words, res =
+            smp_timed (new_round ()) probe ~cell:"probe" ~seed ~packets:(sat_packets / 2)
+              Single_dom0
+          in
+          Some (words /. float_of_int res.completed)
+        end
+        else None
       in
-      let smp_rounds =
-        if String.equal !workload "smp_storm" then rounds
-        else
-          List.concat_map
-            (fun (name, _, rs, _) -> if String.equal name "smp_storm" then rs else [])
-            companions
-      in
-      let recorders =
-        ((!workload, tr) :: List.map (fun (name, t, _, _) -> (name, t)) companions)
-        @ [ ("probes", probe) ]
-      in
-      let metrics =
-        per_layer ~w_rounds:rounds ~untraced ~traced ~smp_rounds ~half_words ~event_ns
-          recorders
-      in
+      let recorders = [ (!workload, tr); ("probes", probe) ] in
+      let metrics = per_layer ~rounds ~untraced ~traced ~half_words ~event_ns recorders in
       print_self_times recorders;
       (try Sys.mkdir !out 0o755 with Sys_error _ -> ());
       let path = Filename.concat !out (Printf.sprintf "trace_%s.json" !workload) in
       Span.write_chrome path recorders;
       Printf.printf "span file: %s\n" path;
-      (rounds, metrics, List.map (fun (_, _, rs, m) -> (rs, m)) companions)
+      (rounds, metrics)
     end
   in
-  (* Companion rounds are checked like the workload's own. *)
-  let all_rounds = rounds @ List.concat_map fst companions in
-  let attempted = isum (fun r -> r.attempted) all_rounds
-  and failed = isum (fun r -> r.failed) all_rounds in
-  let mismatches = ck.mismatches @ List.concat_map snd companions in
+  let attempted = isum (fun r -> r.attempted) rounds
+  and failed = isum (fun r -> r.failed) rounds in
+  let mismatches = ck.mismatches in
   Printf.printf "workload %s, seed %d, %d rounds\n" !workload seed (List.length rounds);
   List.iter
     (fun c -> Printf.printf "digest %s %s\n" c.Cell.name (Hashtbl.find ck.first c.Cell.name))
