@@ -1,14 +1,10 @@
 module Machine = Vmk_hw.Machine
 module Disk = Vmk_hw.Disk
 module Counter = Vmk_trace.Counter
-module Rng = Vmk_sim.Rng
 module Table = Vmk_stats.Table
 module Kernel = Vmk_ukernel.Kernel
-module Sysif = Vmk_ukernel.Sysif
 module Svc = Vmk_ukernel.Svc
 module Watchdog = Vmk_ukernel.Watchdog
-module Net_server = Vmk_ukernel.Net_server
-module Blk_server = Vmk_ukernel.Blk_server
 module Hypervisor = Vmk_vmm.Hypervisor
 module Blk_channel = Vmk_vmm.Blk_channel
 module Dom0 = Vmk_vmm.Dom0
@@ -87,48 +83,14 @@ let l4_run ~quick ~rate =
   let ops = if quick then 16 else 32 in
   let mach = Machine.create ~seed:31L () in
   let k = Kernel.create mach in
-  let blk_spec () =
-    {
-      Sysif.name = "blk-server";
-      priority = 2;
-      same_space = false;
-      pager = None;
-      body = (fun () -> Blk_server.body mach ());
-    }
-  in
-  let net_spec () =
-    {
-      Sysif.name = "net-server";
-      priority = 2;
-      same_space = false;
-      pager = None;
-      body = (fun () -> Net_server.body mach ());
-    }
-  in
-  let blk_tid =
-    Kernel.spawn k ~name:"blk-server" ~priority:2 ~account:Blk_server.account
-      (fun () -> Blk_server.body mach ())
-  in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ())
-  in
-  let blk_entry = Svc.entry ~name:"blk" blk_tid in
-  let net_entry = Svc.entry ~name:"net" net_tid in
-  let wd = Watchdog.create () in
-  let _wd_tid =
-    Kernel.spawn k ~name:"watchdog" ~priority:1 ~account:"watchdog"
-      (Watchdog.body mach wd ~period:1_000_000L ~ping_timeout:200_000L
-         [ (blk_entry, blk_spec); (net_entry, net_spec) ])
-  in
-  let retry =
-    Port_l4.retry ~mach ~attempts:8 ~timeout:1_000_000L ~base_delay:100_000L
-      (Rng.split mach.Machine.rng)
-  in
+  let sv = Scenario.l4_supervised mach k in
+  let retry = Scenario.l4_retry mach in
   let gk =
     Kernel.spawn k ~name:"guest-kernel" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ~retry ~net_svc:net_entry ~blk_svc:blk_entry
-         ~net:(Some net_tid) ~blk:(Some blk_tid))
+      (Port_l4.guest_kernel_body ~retry ~net_svc:sv.net_svc
+         ~blk_svc:sv.blk_svc
+         ~net:(Some (Svc.tid sv.net_svc))
+         ~blk:(Some (Svc.tid sv.blk_svc)))
   in
   let stats = Apps.stats () in
   let log = ref [] in
@@ -148,15 +110,15 @@ let l4_run ~quick ~rate =
       (plan_for ~rate ~target:"blk-server")
       mach
       ~kill:(fun target ->
-        if target = "blk-server" then Kernel.kill k (Svc.tid blk_entry))
+        if target = "blk-server" then Kernel.kill k (Svc.tid sv.blk_svc))
   in
   ignore (Kernel.run k ~until:(fun () -> !finished));
-  Watchdog.stop wd;
+  Watchdog.stop sv.watchdog;
   ignore (Kernel.run k);
   Faults.disarm armed mach;
   metrics_of ~stack:"L4" ~rate ~counters:mach.Machine.counters
     ~retries_key:"l4.retries" ~gaveup_key:"l4.gaveup"
-    ~recoveries:(List.length (Watchdog.respawns wd))
+    ~recoveries:(List.length (Watchdog.respawns sv.watchdog))
     ~log:!log ~finished:!finished stats
 
 (* --- VMM stack: supervisor restart + frontend reconnect --- *)
@@ -166,18 +128,7 @@ let vmm_run ~quick ~rate =
   let mach = Machine.create ~seed:32L () in
   let h = Hypervisor.create mach in
   let blk_chan = Blk_channel.create () in
-  let make_dom0 ~restart () =
-    Dom0.body mach ~connect_timeout:10_000_000L ~generation:restart
-      ~blk:[ blk_chan ] ()
-  in
-  let dom0 =
-    Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
-      (make_dom0 ~restart:0)
-  in
-  let sup =
-    Hypervisor.supervise h ~name:Dom0.name ~privileged:true ~period:1_000_000L
-      ~make_body:make_dom0 dom0
-  in
+  let dom0, sup = Scenario.dom0_supervised mach h ~net:[] ~blk:[ blk_chan ] in
   let stats = Apps.stats () in
   let log = ref [] in
   let finished = ref false in

@@ -5,59 +5,15 @@ module Counter = Vmk_trace.Counter
 module Cluster = Vmk_ukernel.Smp_cluster
 module Svmm = Vmk_vmm.Smp_vmm
 
-type kind = Uk_colocated | Uk_pinned | Vmm_dom0 | Vmm_drivers
+let uk_colocated = Scenario.Smp_uk Cluster.Colocated
+let vmm_dom0 = Scenario.Smp_vmm Svmm.Single_dom0
+let vmm_drivers = Scenario.Smp_vmm Svmm.Driver_domains
 
-let kinds = [ Uk_colocated; Uk_pinned; Vmm_dom0; Vmm_drivers ]
+let kinds =
+  [ uk_colocated; Scenario.Smp_uk Cluster.Pinned; vmm_dom0; vmm_drivers ]
 
-let label = function
-  | Uk_colocated -> "uk/colocated"
-  | Uk_pinned -> "uk/pinned"
-  | Vmm_dom0 -> "vmm/single-dom0"
-  | Vmm_drivers -> "vmm/driver-domains"
-
-type run = {
-  completed : int;
-  wall : int64;
-  mach : Machine.t;
-  contended : int;
-  spin : int64;
-}
-
-let seed = 14L
-
-let run_case ~kind ~cores ~packets =
-  match kind with
-  | Uk_colocated | Uk_pinned ->
-      let placement =
-        match kind with Uk_pinned -> Cluster.Pinned | _ -> Cluster.Colocated
-      in
-      let cfg = { (Cluster.default ~placement ~cores ()) with Cluster.packets } in
-      let r = Cluster.run ~seed cfg in
-      {
-        completed = r.Cluster.completed;
-        wall = r.Cluster.wall;
-        mach = r.Cluster.mach;
-        contended = r.Cluster.mapdb_contended;
-        spin = r.Cluster.mapdb_spin;
-      }
-  | Vmm_dom0 | Vmm_drivers ->
-      let backend =
-        match kind with Vmm_drivers -> Svmm.Driver_domains | _ -> Svmm.Single_dom0
-      in
-      let cfg = { (Svmm.default ~backend ~cores ()) with Svmm.packets } in
-      let r = Svmm.run ~seed cfg in
-      {
-        completed = r.Svmm.completed;
-        wall = r.Svmm.wall;
-        mach = r.Svmm.mach;
-        contended = r.Svmm.gnt_contended;
-        spin = r.Svmm.gnt_spin;
-      }
-
-(* Packets completed per million cycles of virtual wall time. *)
-let throughput r =
-  if Int64.compare r.wall 0L <= 0 then 0.0
-  else float_of_int r.completed *. 1e6 /. Int64.to_float r.wall
+let run_case kind ~cores ~packets =
+  Scenario.run_smp ~seed:14L kind ~cores ~packets
 
 let experiment =
   {
@@ -74,23 +30,23 @@ let experiment =
         let results =
           List.map
             (fun cores ->
-              (cores, List.map (fun kind -> (kind, run_case ~kind ~cores ~packets)) kinds))
+              (cores, List.map (fun kind -> (kind, run_case kind ~cores ~packets)) kinds))
             core_counts
         in
         let tput ~cores ~kind =
           let row = List.assoc cores results in
-          throughput (List.assoc kind row)
+          Scenario.throughput (List.assoc kind row)
         in
         (* --- throughput scaling table --- *)
         let scaling =
           Table.create
-            ~header:("cores" :: List.map (fun k -> label k ^ " pkt/Mcyc") kinds)
+            ~header:("cores" :: List.map (fun k -> Scenario.smp_label k ^ " pkt/Mcyc") kinds)
         in
         List.iter
           (fun (cores, row) ->
             Table.add_row scaling
               (string_of_int cores
-              :: List.map (fun (_, r) -> Table.cellf "%.1f" (throughput r)) row))
+              :: List.map (fun (_, r) -> Table.cellf "%.1f" (Scenario.throughput r)) row))
           results;
         (* --- cross-CPU overhead itemization at max cores --- *)
         let max_cores = List.fold_left max 1 core_counts in
@@ -111,24 +67,24 @@ let experiment =
         in
         List.iter
           (fun (kind, r) ->
-            let c = r.mach.Machine.counters in
-            let a = r.mach.Machine.accounts in
+            let c = r.Scenario.mach.Machine.counters in
+            let a = r.Scenario.mach.Machine.accounts in
             Table.add_row overhead
               [
-                label kind;
+                Scenario.smp_label kind;
                 string_of_int (Counter.get c "smp.ipi");
                 string_of_int (Counter.get c "smp.shootdown");
                 string_of_int (Counter.get c "smp.shootdown.acks");
-                string_of_int r.contended;
-                Int64.to_string r.spin;
+                string_of_int r.Scenario.contended;
+                Int64.to_string r.Scenario.spin;
                 Int64.to_string (Accounts.balance a "smp.ipi");
                 Int64.to_string (Accounts.balance a "smp.shootdown");
               ])
           top;
         (* --- per-CPU account breakdown for the bottleneck config --- *)
-        let dom0_run = List.assoc Vmm_dom0 top in
-        let acc = dom0_run.mach.Machine.accounts in
-        let ncpu = Machine.ncpus dom0_run.mach in
+        let dom0_run = List.assoc vmm_dom0 top in
+        let acc = dom0_run.Scenario.mach.Machine.accounts in
+        let ncpu = Machine.ncpus dom0_run.Scenario.mach in
         let breakdown =
           Table.create
             ~header:
@@ -150,19 +106,13 @@ let experiment =
                      Int64.to_string (Accounts.cpu_balance acc ~cpu:i name))))
           accounts_of_interest;
         (* --- verdicts --- *)
-        let plateau_ratio = tput ~cores:max_cores ~kind:Vmm_dom0 /. tput ~cores:4 ~kind:Vmm_dom0 in
+        let plateau_ratio = tput ~cores:max_cores ~kind:vmm_dom0 /. tput ~cores:4 ~kind:vmm_dom0 in
         let scale8 kind = tput ~cores:max_cores ~kind /. tput ~cores:1 ~kind in
         let scale84 kind = tput ~cores:max_cores ~kind /. tput ~cores:4 ~kind in
-        let rerun = run_case ~kind:Vmm_dom0 ~cores:max_cores ~packets in
-        let fingerprint r =
-          ( r.wall,
-            r.completed,
-            Counter.to_list r.mach.Machine.counters,
-            Accounts.to_list r.mach.Machine.accounts,
-            List.init (Machine.ncpus r.mach) (fun i ->
-                Accounts.to_cpu_list r.mach.Machine.accounts ~cpu:i) )
+        let rerun = run_case vmm_dom0 ~cores:max_cores ~packets in
+        let deterministic =
+          Scenario.smp_digest dom0_run = Scenario.smp_digest rerun
         in
-        let deterministic = fingerprint dom0_run = fingerprint rerun in
         let verdicts =
           [
             Experiment.verdict
@@ -181,8 +131,8 @@ let experiment =
                    max_cores max_cores)
               ~measured:
                 (Printf.sprintf "%.2fx over 1 core, %.2fx over 4"
-                   (scale8 Uk_colocated) (scale84 Uk_colocated))
-              (scale8 Uk_colocated > 4.0 && scale84 Uk_colocated > 1.6);
+                   (scale8 uk_colocated) (scale84 uk_colocated))
+              (scale8 uk_colocated > 4.0 && scale84 uk_colocated > 1.6);
             Experiment.verdict
               ~claim:"Driver-domain disaggregation recovers VMM scaling"
               ~expected:
@@ -192,12 +142,12 @@ let experiment =
                    max_cores max_cores)
               ~measured:
                 (Printf.sprintf "%.2fx over 1 core; %.1f vs %.1f pkt/Mcyc"
-                   (scale8 Vmm_drivers)
-                   (tput ~cores:max_cores ~kind:Vmm_drivers)
-                   (tput ~cores:max_cores ~kind:Vmm_dom0))
-              (scale8 Vmm_drivers > 4.0
-              && tput ~cores:max_cores ~kind:Vmm_drivers
-                 > tput ~cores:max_cores ~kind:Vmm_dom0);
+                   (scale8 vmm_drivers)
+                   (tput ~cores:max_cores ~kind:vmm_drivers)
+                   (tput ~cores:max_cores ~kind:vmm_dom0))
+              (scale8 vmm_drivers > 4.0
+              && tput ~cores:max_cores ~kind:vmm_drivers
+                 > tput ~cores:max_cores ~kind:vmm_dom0);
             Experiment.verdict
               ~claim:"SMP interleaving stays deterministic"
               ~expected:

@@ -10,21 +10,12 @@
     disaggregated layouts scale, and same-seed reruns are bit-for-bit
     identical. *)
 
-type kind = Uk_colocated | Uk_pinned | Vmm_dom0 | Vmm_drivers
+val kinds : Scenario.smp_layout list
+(** The four layouts, in table order: uk/colocated, uk/pinned,
+    vmm/single-dom0, vmm/driver-domains. *)
 
-type run = {
-  completed : int;
-  wall : int64;
-  mach : Vmk_hw.Machine.t;
-  contended : int;
-  spin : int64;
-}
-
-val run_case : kind:kind -> cores:int -> packets:int -> run
-(** One configuration at one core count, fixed seed — exposed for the
-    tests and benches. *)
-
-val throughput : run -> float
-(** Packets per million cycles of virtual wall time. *)
+val run_case :
+  Scenario.smp_layout -> cores:int -> packets:int -> Scenario.smp_storm
+(** One layout at one core count, fixed seed — exposed for the tests. *)
 
 val experiment : Experiment.t

@@ -19,22 +19,10 @@
    client-side retry with seeded exponential backoff. *)
 
 module Table = Vmk_stats.Table
-module Summary = Vmk_stats.Summary
 module Machine = Vmk_hw.Machine
 module Nic = Vmk_hw.Nic
-module Rng = Vmk_sim.Rng
 module Counter = Vmk_trace.Counter
-module Accounts = Vmk_trace.Accounts
 module Overload = Vmk_overload.Overload
-module Kernel = Vmk_ukernel.Kernel
-module Net_server = Vmk_ukernel.Net_server
-module Hypervisor = Vmk_vmm.Hypervisor
-module Net_channel = Vmk_vmm.Net_channel
-module Dom0 = Vmk_vmm.Dom0
-module Port_xen = Vmk_guest.Port_xen
-module Port_l4 = Vmk_guest.Port_l4
-module Traffic = Vmk_workloads.Traffic
-module Apps = Vmk_workloads.Apps
 
 type stack = Vmm | Uk
 type mode = Naive | Policied
@@ -57,8 +45,7 @@ let config_label stack mode =
    between structures is therefore made in absolute offered load. *)
 let capacity_period = function Vmm -> 60_000L | Uk -> 30_000L
 
-let packet_len = 512
-let latency_budget = 1_000_000L
+let latency_budget = Scenario.rx_latency_budget
 let admit_burst = 16
 let rx_queue_cap = 64
 
@@ -79,221 +66,60 @@ let period_of stack (n, d) =
 
 let count_of ~base (n, d) = base * n / d
 
-(* Everything a same-seed rerun must reproduce bit-for-bit. *)
-type fingerprint = {
-  f_wall : int64;
-  f_injected : int;
-  f_arrivals : (int * int64) list;
-  f_counters : (string * int) list;
-  f_accounts : (string * int64) list;
-}
-
 type run = {
-  injected : int;
-  received : int;
-  timely : int;
-  offered : float;  (** Injected packets per Mcycle of the offered window. *)
-  goodput : float;  (** Timely packets per Mcycle of the offered window. *)
-  p99 : float;  (** p99 delivery latency in cycles, over received packets. *)
+  rx : Scenario.rx_storm;
   nic_drops : int;
   drops : int;
   sheds : int;
   retries : int;
   backoff_cycles : int;
   queue_peak : int;
-  fp : fingerprint;
 }
 
-let summarize mach ~period ~count ~injected ~arrivals ~inject_times =
-  let duration = Int64.mul period (Int64.of_int count) in
-  let latencies =
-    List.rev_map
-      (fun (tag, at) ->
-        match Hashtbl.find_opt inject_times tag with
-        | Some t0 -> Int64.sub at t0
-        | None -> Int64.max_int)
-      arrivals
+(* The receive-storm rig is the naive configuration; policied adds the
+   policies described above (retry with up to 4 attempts). *)
+let run stack mode ~period ~count =
+  let policied x = match mode with Naive -> None | Policied -> Some x in
+  let admit =
+    policied
+      (Overload.Token_bucket.create ~period:(capacity_period stack)
+         ~burst:admit_burst ())
   in
-  let timely =
-    List.length
-      (List.filter (fun l -> Int64.compare l latency_budget <= 0) latencies)
+  let mach, rx =
+    match stack with
+    | Vmm -> Scenario.rx_storm_xen ?net_admit:admit ~period ~count ()
+    | Uk ->
+        Scenario.rx_storm_l4 ?admit ?rx_capacity:(policied rx_queue_cap)
+          ?retry_attempts:(policied 4) ~period ~count ()
   in
-  let s = Summary.create () in
-  List.iter (Summary.add_int64 s) latencies;
   let c = mach.Machine.counters in
   let nic_drops = Nic.rx_dropped mach.Machine.nic in
   {
-    injected;
-    received = List.length arrivals;
-    timely;
-    offered = float_of_int injected *. 1e6 /. Int64.to_float duration;
-    goodput = float_of_int timely *. 1e6 /. Int64.to_float duration;
-    p99 = Summary.percentile s 99.0;
+    rx;
     nic_drops;
     drops = Counter.get c Overload.drop_counter + nic_drops;
     sheds = Counter.get c Overload.shed_counter;
     retries = Counter.get c Overload.retry_counter;
     backoff_cycles = Counter.get c Overload.backoff_counter;
     queue_peak = Counter.sum_matching c ~prefix:Overload.queue_peak_prefix;
-    fp =
-      {
-        f_wall = Machine.now mach;
-        f_injected = injected;
-        f_arrivals = List.sort compare arrivals;
-        f_counters = Counter.to_list c;
-        f_accounts = Accounts.to_list mach.Machine.accounts;
-      };
   }
 
-let admit_bucket stack =
-  Overload.Token_bucket.create ~period:(capacity_period stack)
-    ~burst:admit_burst ()
-
-(* The VMM stack: Dom0 runs at double the guest's scheduler weight (the
-   backend path wins the CPU under load — the centralized-backend
-   livelock configuration). Policied adds token-bucket shedding in
-   netback, ahead of the 900-cycle per-packet backend work. The guest's
-   2M-cycle I/O timeout ends the app once traffic stops arriving. *)
-let run_vmm ~mode ~period ~count =
-  let mach = Machine.create ~seed:41L () in
-  let h = Hypervisor.create mach in
-  let chan = Net_channel.create ~mode:Net_channel.Flip ~demux_key:1 () in
-  let net_admit =
-    match mode with Naive -> None | Policied -> Some (admit_bucket Vmm)
-  in
-  let dom0 =
-    Hypervisor.create_domain h ~name:Dom0.name ~privileged:true ~weight:512
-      (fun () -> Dom0.body mach ?net_admit ~net:[ chan ] ())
-  in
-  let ready = ref false in
-  let completed = ref false in
-  let inject_times = Hashtbl.create 256 in
-  let arrivals = ref [] in
-  let _guest =
-    Hypervisor.create_domain h ~name:"guest1"
-      (Port_xen.guest_body mach ~net:(chan, dom0) ~io_timeout:2_000_000L
-         ~on_ready:(fun () -> ready := true)
-         ~app:(fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets:count () ();
-           completed := true))
-  in
-  let source =
-    Traffic.constant_rate mach
-      ~gate:(fun () -> !ready)
-      ~period ~len:packet_len ~count
-      ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
-      ()
-  in
-  ignore (Hypervisor.run h ~until:(fun () -> !completed));
-  ignore (Hypervisor.run h ~max_dispatches:100_000);
-  summarize mach ~period ~count ~injected:(Traffic.injected source)
-    ~arrivals:!arrivals ~inject_times
-
-(* The microkernel stack. Naive queues without bound in the net server
-   (latency blows up past saturation); policied sheds at the IRQ path,
-   bounds the receive queue (drop-oldest) and retries busy replies on
-   the seeded backoff schedule. Injection gates on the server having
-   posted its first receive buffers; NIC-level drops after that point
-   are wire loss and count against the run. *)
-let run_uk ~mode ~period ~count =
-  let mach = Machine.create ~seed:42L () in
-  let k = Kernel.create mach in
-  let admit, rx_capacity =
-    match mode with
-    | Naive -> (None, None)
-    | Policied -> (Some (admit_bucket Uk), Some rx_queue_cap)
-  in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ?admit ?rx_capacity ())
-  in
-  let retry =
-    match mode with
-    | Naive -> None
-    | Policied ->
-        Some
-          (Port_l4.retry ~mach ~attempts:4 ~timeout:1_000_000L
-             (Rng.split mach.Machine.rng))
-  in
-  let gk =
-    Kernel.spawn k ~name:"guest-kernel" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ?retry ~net:(Some net_tid) ~blk:None)
-  in
-  let completed = ref false in
-  let inject_times = Hashtbl.create 256 in
-  let arrivals = ref [] in
-  let _app =
-    Kernel.spawn k ~name:"app" ~priority:4 ~account:"app"
-      (Port_l4.app_body mach ~gk (fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets:count () ();
-           completed := true))
-  in
-  let up = ref false in
-  let gate () =
-    if !up then true
-    else if Nic.rx_buffers_posted mach.Machine.nic > 0 then begin
-      up := true;
-      true
-    end
-    else false
-  in
-  let source =
-    Traffic.constant_rate mach ~gate ~period ~len:packet_len ~count
-      ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
-      ()
-  in
-  ignore (Kernel.run k ~until:(fun () -> !completed));
-  ignore (Kernel.run k ~max_dispatches:100_000);
-  summarize mach ~period ~count ~injected:(Traffic.injected source)
-    ~arrivals:!arrivals ~inject_times
-
 let run_one stack mode ~base m =
-  let period = period_of stack m and count = count_of ~base m in
-  match stack with
-  | Vmm -> run_vmm ~mode ~period ~count
-  | Uk -> run_uk ~mode ~period ~count
-
-(* Delivery efficiency: what fraction of what was actually offered
-   arrived in time. *)
-let efficiency r =
-  if r.injected = 0 then 0.0 else float_of_int r.timely /. float_of_int r.injected
+  run stack mode ~period:(period_of stack m) ~count:(count_of ~base m)
 
 (* The capacity sweep above is in multiples of each stack's own
    provisioned capacity, so the knees it finds are not comparable
    between structures. The knee probe drives the two NAIVE stacks at a
    common ladder of absolute rates spanning the gap the coarse sweep
-   leaves between "fine at 4x" and "collapsed at 8x", and the knee is
-   the first rung where timely efficiency falls below 0.9. *)
+   leaves between "fine at 4x" and "collapsed at 8x". *)
 let probe_periods = [ 15_000L; 12_500L; 10_000L; 8_750L; 7_500L ]
 
 let probe_runs stack ~base =
-  let window = Int64.mul 30_000L (Int64.of_int base) in
-  List.map
-    (fun period ->
-      let count = Int64.to_int (Int64.div window period) in
-      let r =
-        match stack with
-        | Vmm -> run_vmm ~mode:Naive ~period ~count
-        | Uk -> run_uk ~mode:Naive ~period ~count
-      in
-      (period, r))
-    probe_periods
-
-let knee runs =
-  let rec find = function
-    | [] -> infinity
-    | (_, r) :: rest -> if efficiency r < 0.9 then r.offered else find rest
-  in
-  find runs
+  Scenario.rx_probe ~base ~periods:probe_periods (fun ~period ~count ->
+      (run stack Naive ~period ~count).rx)
 
 let peak_goodput curve =
-  List.fold_left (fun acc (_, r) -> Float.max acc r.goodput) 0.0 curve
+  List.fold_left (fun acc (_, r) -> Float.max acc r.rx.Scenario.goodput) 0.0 curve
 
 let experiment =
   {
@@ -341,17 +167,17 @@ let experiment =
           in
           List.iter
             (fun m ->
-              let n = get stack Naive m and p = get stack Policied m in
+              let n = (get stack Naive m).rx and p = (get stack Policied m).rx in
               Table.add_row t
                 [
                   mult_label m;
                   Table.cellf "%.1f" n.offered;
                   Table.cellf "%.1f" n.goodput;
                   Table.cellf "%.0f" (n.p99 /. 1e3);
-                  Table.cellf "%.2f" (efficiency n);
+                  Table.cellf "%.2f" (Scenario.rx_efficiency n);
                   Table.cellf "%.1f" p.goodput;
                   Table.cellf "%.0f" (p.p99 /. 1e3);
-                  Table.cellf "%.2f" (efficiency p);
+                  Table.cellf "%.2f" (Scenario.rx_efficiency p);
                 ])
             mults;
           t
@@ -381,9 +207,9 @@ let experiment =
                 Table.add_row itemized
                   [
                     config_label stack mode;
-                    string_of_int r.injected;
-                    string_of_int r.received;
-                    string_of_int r.timely;
+                    string_of_int r.rx.injected;
+                    string_of_int r.rx.received;
+                    string_of_int r.rx.timely;
                     string_of_int r.nic_drops;
                     string_of_int r.drops;
                     string_of_int r.sheds;
@@ -396,20 +222,20 @@ let experiment =
         (* --- verdicts --- *)
         let naive_collapse stack =
           let c = curve stack Naive in
-          let r = get stack Naive top in
+          let r = (get stack Naive top).rx in
           r.goodput < 0.8 *. peak_goodput c
           && r.p99 > Int64.to_float latency_budget
         in
         let policied_graceful stack =
           let c = curve stack Policied in
-          let r = get stack Policied top in
+          let r = (get stack Policied top).rx in
           r.goodput >= 0.8 *. peak_goodput c
           && r.p99 <= Int64.to_float latency_budget
         in
         let vmm_probe = probe_runs Vmm ~base in
         let uk_probe = probe_runs Uk ~base in
-        let vmm_knee = knee vmm_probe in
-        let uk_knee = knee uk_probe in
+        let vmm_knee = Scenario.rx_knee vmm_probe in
+        let uk_knee = Scenario.rx_knee uk_probe in
         let probe_table =
           let t =
             Table.create
@@ -423,13 +249,13 @@ let experiment =
                 ]
           in
           List.iter2
-            (fun (_, v) (_, u) ->
+            (fun (v : Scenario.rx_storm) (u : Scenario.rx_storm) ->
               Table.add_row t
                 [
                   Table.cellf "%.0f" v.offered;
-                  Table.cellf "%.2f" (efficiency v);
+                  Table.cellf "%.2f" (Scenario.rx_efficiency v);
                   Table.cellf "%.0f" (v.p99 /. 1e3);
-                  Table.cellf "%.2f" (efficiency u);
+                  Table.cellf "%.2f" (Scenario.rx_efficiency u);
                   Table.cellf "%.0f" (u.p99 /. 1e3);
                 ])
             vmm_probe uk_probe;
@@ -438,8 +264,8 @@ let experiment =
         let rerun_vmm = run_one Vmm Naive ~base top in
         let rerun_uk = run_one Uk Policied ~base top in
         let deterministic =
-          (get Vmm Naive top).fp = rerun_vmm.fp
-          && (get Uk Policied top).fp = rerun_uk.fp
+          (get Vmm Naive top).rx.digest = rerun_vmm.rx.digest
+          && (get Uk Policied top).rx.digest = rerun_uk.rx.digest
         in
         let fmt_knee k =
           if k = infinity then ">133" else Printf.sprintf "%.0f" k
@@ -455,12 +281,12 @@ let experiment =
                 (Printf.sprintf
                    "vmm %.1f vs peak %.1f (p99 %.0fk); uk %.1f vs peak %.1f \
                     (p99 %.0fk)"
-                   (get Vmm Naive top).goodput
+                   (get Vmm Naive top).rx.goodput
                    (peak_goodput (curve Vmm Naive))
-                   ((get Vmm Naive top).p99 /. 1e3)
-                   (get Uk Naive top).goodput
+                   ((get Vmm Naive top).rx.p99 /. 1e3)
+                   (get Uk Naive top).rx.goodput
                    (peak_goodput (curve Uk Naive))
-                   ((get Uk Naive top).p99 /. 1e3))
+                   ((get Uk Naive top).rx.p99 /. 1e3))
               (naive_collapse Vmm && naive_collapse Uk);
             Experiment.verdict
               ~claim:"Admission control + backpressure degrade gracefully"
@@ -470,12 +296,12 @@ let experiment =
               ~measured:
                 (Printf.sprintf
                    "vmm %.1f/%.1f p99 %.0fk; uk %.1f/%.1f p99 %.0fk"
-                   (get Vmm Policied top).goodput
+                   (get Vmm Policied top).rx.goodput
                    (peak_goodput (curve Vmm Policied))
-                   ((get Vmm Policied top).p99 /. 1e3)
-                   (get Uk Policied top).goodput
+                   ((get Vmm Policied top).rx.p99 /. 1e3)
+                   (get Uk Policied top).rx.goodput
                    (peak_goodput (curve Uk Policied))
-                   ((get Uk Policied top).p99 /. 1e3))
+                   ((get Uk Policied top).rx.p99 /. 1e3))
               (policied_graceful Vmm && policied_graceful Uk);
             Experiment.verdict
               ~claim:"The centralized Dom0 saturates before the multi-server \

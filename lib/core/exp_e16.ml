@@ -22,23 +22,15 @@
    per-core placement). *)
 
 module Table = Vmk_stats.Table
-module Summary = Vmk_stats.Summary
 module Machine = Vmk_hw.Machine
 module Nic = Vmk_hw.Nic
 module Counter = Vmk_trace.Counter
 module Accounts = Vmk_trace.Accounts
 module Overload = Vmk_overload.Overload
-module Kernel = Vmk_ukernel.Kernel
 module Net_server = Vmk_ukernel.Net_server
 module Cluster = Vmk_ukernel.Smp_cluster
-module Hypervisor = Vmk_vmm.Hypervisor
-module Net_channel = Vmk_vmm.Net_channel
 module Dom0 = Vmk_vmm.Dom0
 module Svmm = Vmk_vmm.Smp_vmm
-module Port_xen = Vmk_guest.Port_xen
-module Port_l4 = Vmk_guest.Port_l4
-module Traffic = Vmk_workloads.Traffic
-module Apps = Vmk_workloads.Apps
 
 type stack = Vmm | Uk
 type mode = Interrupt | Polling | Hybrid
@@ -66,8 +58,6 @@ let capacity_period = function Vmm -> 60_000L | Uk -> 30_000L
    beyond several completions coalesce under one interrupt. *)
 let window = capacity_period
 
-let packet_len = 512
-let latency_budget = 1_000_000L
 let poll_budget = 16
 
 let mults = [ (1, 2); (1, 1); (2, 1); (4, 1); (8, 1) ]
@@ -83,51 +73,31 @@ let period_of stack (n, d) =
 
 let count_of ~base (n, d) = base * n / d
 
-(* Everything a same-seed rerun must reproduce bit-for-bit — the
-   counters include every [mitig.*] entry (coalesced IRQs, poll rounds,
-   batch histogram, re-enables). *)
-type fingerprint = {
-  f_wall : int64;
-  f_injected : int;
-  f_arrivals : (int * int64) list;
-  f_counters : (string * int) list;
-  f_accounts : (string * int64) list;
-}
-
 type run = {
-  injected : int;
-  received : int;
-  timely : int;
-  offered : float;  (** Injected packets per Mcycle of the offered window. *)
-  goodput : float;  (** Timely packets per Mcycle of the offered window. *)
-  p99 : float;  (** p99 delivery latency in cycles, over received packets. *)
+  rx : Scenario.rx_storm;
   cyc_pkt : float;  (** Driver-path cycles per received packet. *)
   coalesced : int;  (** IRQs absorbed by an open hold-off window. *)
   poll_rounds : int;
   reenables : int;
   nic_drops : int;
-  fp : fingerprint;
 }
 
-let summarize stack mach ~period ~count ~injected ~arrivals ~inject_times =
-  let duration = Int64.mul period (Int64.of_int count) in
-  let latencies =
-    List.rev_map
-      (fun (tag, at) ->
-        match Hashtbl.find_opt inject_times tag with
-        | Some t0 -> Int64.sub at t0
-        | None -> Int64.max_int)
-      arrivals
+(* Both stacks stay in E15's naive overload configuration (boosted Dom0
+   weight, unbounded server queue, no admission control), so the only
+   variable is the delivery discipline. *)
+let run stack mode ~period ~count =
+  let mitigation = match mode with Hybrid -> Some (window stack) | _ -> None in
+  let napi = match mode with Hybrid -> Some poll_budget | _ -> None in
+  let poll = match mode with Polling -> Some (window stack) | _ -> None in
+  let mach, rx =
+    match stack with
+    | Vmm ->
+        Scenario.rx_storm_xen ?mitigation ?net_napi:napi ?net_poll:poll
+          ~period ~count ()
+    | Uk -> Scenario.rx_storm_l4 ?mitigation ?napi ?poll ~period ~count ()
   in
-  let timely =
-    List.length
-      (List.filter (fun l -> Int64.compare l latency_budget <= 0) latencies)
-  in
-  let s = Summary.create () in
-  List.iter (Summary.add_int64 s) latencies;
   let c = mach.Machine.counters in
   let a = mach.Machine.accounts in
-  let received = List.length arrivals in
   (* Driver-path cost: the backend domain plus the kernel that carries
      its interrupts and notifications. Guest-side work is identical
      across modes and excluded. *)
@@ -140,223 +110,40 @@ let summarize stack mach ~period ~count ~injected ~arrivals ~inject_times =
           (Accounts.balance a "ukernel")
   in
   {
-    injected;
-    received;
-    timely;
-    offered = float_of_int injected *. 1e6 /. Int64.to_float duration;
-    goodput = float_of_int timely *. 1e6 /. Int64.to_float duration;
-    p99 = Summary.percentile s 99.0;
+    rx;
     cyc_pkt =
-      (if received = 0 then 0.0
-       else Int64.to_float driver_cycles /. float_of_int received);
+      (if rx.received = 0 then 0.0
+       else Int64.to_float driver_cycles /. float_of_int rx.received);
     coalesced = Counter.get c Overload.mitig_coalesced_counter;
     poll_rounds = Counter.get c Overload.mitig_poll_rounds_counter;
     reenables = Counter.get c Overload.mitig_reenable_counter;
     nic_drops = Nic.rx_dropped mach.Machine.nic;
-    fp =
-      {
-        f_wall = Machine.now mach;
-        f_injected = injected;
-        f_arrivals = List.sort compare arrivals;
-        f_counters = Counter.to_list c;
-        f_accounts = Accounts.to_list mach.Machine.accounts;
-      };
   }
 
-(* Polling-only runs never drain the event engine (the poll timer
-   re-arms forever), so they stop on a deterministic deadline instead of
-   the usual run-until-idle + settle phase: injection window plus enough
-   slack for boot, handshake and every timely delivery. *)
-let poll_deadline ~period ~count =
-  Int64.add (Int64.mul period (Int64.of_int count)) 6_000_000L
-
-(* The VMM stack, always in E15's naive overload configuration (boosted
-   Dom0 weight, no admission control) so the only variable is the
-   delivery discipline. *)
-let run_vmm ~mode ~period ~count =
-  let mach = Machine.create ~seed:41L () in
-  (match mode with
-  | Hybrid -> Nic.set_mitigation mach.Machine.nic (window Vmm)
-  | Interrupt | Polling -> ());
-  let h = Hypervisor.create mach in
-  let chan = Net_channel.create ~mode:Net_channel.Flip ~demux_key:1 () in
-  let net_napi = match mode with Hybrid -> Some poll_budget | _ -> None in
-  let net_poll = match mode with Polling -> Some (window Vmm) | _ -> None in
-  let dom0 =
-    Hypervisor.create_domain h ~name:Dom0.name ~privileged:true ~weight:512
-      (fun () -> Dom0.body mach ?net_napi ?net_poll ~net:[ chan ] ())
-  in
-  let ready = ref false in
-  let completed = ref false in
-  let inject_times = Hashtbl.create 256 in
-  let arrivals = ref [] in
-  let _guest =
-    Hypervisor.create_domain h ~name:"guest1"
-      (Port_xen.guest_body mach ~net:(chan, dom0) ~io_timeout:2_000_000L
-         ~on_ready:(fun () -> ready := true)
-         ~app:(fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets:count () ();
-           completed := true))
-  in
-  let source =
-    Traffic.constant_rate mach
-      ~gate:(fun () -> !ready)
-      ~period ~len:packet_len ~count
-      ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
-      ()
-  in
-  (match mode with
-  | Polling ->
-      let deadline = poll_deadline ~period ~count in
-      ignore
-        (Hypervisor.run h ~until:(fun () ->
-             !completed || Int64.compare (Machine.now mach) deadline >= 0))
-  | Interrupt | Hybrid ->
-      ignore (Hypervisor.run h ~until:(fun () -> !completed));
-      ignore (Hypervisor.run h ~max_dispatches:100_000));
-  summarize Vmm mach ~period ~count ~injected:(Traffic.injected source)
-    ~arrivals:!arrivals ~inject_times
-
-(* The microkernel stack, likewise naive (unbounded server queue, no
-   admission): only the delivery discipline changes. *)
-let run_uk ~mode ~period ~count =
-  let mach = Machine.create ~seed:42L () in
-  (match mode with
-  | Hybrid -> Nic.set_mitigation mach.Machine.nic (window Uk)
-  | Interrupt | Polling -> ());
-  let k = Kernel.create mach in
-  let napi = match mode with Hybrid -> Some poll_budget | _ -> None in
-  let poll = match mode with Polling -> Some (window Uk) | _ -> None in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ?napi ?poll ())
-  in
-  let gk =
-    Kernel.spawn k ~name:"guest-kernel" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ~net:(Some net_tid) ~blk:None)
-  in
-  let completed = ref false in
-  let inject_times = Hashtbl.create 256 in
-  let arrivals = ref [] in
-  let _app =
-    Kernel.spawn k ~name:"app" ~priority:4 ~account:"app"
-      (Port_l4.app_body mach ~gk (fun () ->
-           Apps.net_rx_probe
-             ~now:(fun () -> Machine.now mach)
-             ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
-             ~packets:count () ();
-           completed := true))
-  in
-  let up = ref false in
-  let gate () =
-    if !up then true
-    else if Nic.rx_buffers_posted mach.Machine.nic > 0 then begin
-      up := true;
-      true
-    end
-    else false
-  in
-  let source =
-    Traffic.constant_rate mach ~gate ~period ~len:packet_len ~count
-      ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
-      ()
-  in
-  (match mode with
-  | Polling ->
-      let deadline = poll_deadline ~period ~count in
-      ignore
-        (Kernel.run k ~until:(fun () ->
-             !completed || Int64.compare (Machine.now mach) deadline >= 0))
-  | Interrupt | Hybrid ->
-      ignore (Kernel.run k ~until:(fun () -> !completed));
-      ignore (Kernel.run k ~max_dispatches:100_000));
-  summarize Uk mach ~period ~count ~injected:(Traffic.injected source)
-    ~arrivals:!arrivals ~inject_times
-
 let run_one stack mode ~base m =
-  let period = period_of stack m and count = count_of ~base m in
-  match stack with
-  | Vmm -> run_vmm ~mode ~period ~count
-  | Uk -> run_uk ~mode ~period ~count
+  run stack mode ~period:(period_of stack m) ~count:(count_of ~base m)
 
-let fp r = r.fp
-let received r = r.received
-
-let efficiency r =
-  if r.injected = 0 then 0.0 else float_of_int r.timely /. float_of_int r.injected
+let digest r = r.rx.digest
+let received r = r.rx.received
 
 (* E15's knee probe, extended two rungs deeper and run interrupt vs
-   hybrid: common absolute rates, knee = first rung where timely
-   efficiency drops below 0.9. Mitigation should move both knees
-   right. *)
+   hybrid: mitigation should move both knees right. *)
 let probe_periods =
   [ 15_000L; 12_500L; 10_000L; 8_750L; 7_500L; 7_000L; 6_500L; 6_250L; 5_000L ]
 
 let probe_runs stack mode ~base =
-  let window = Int64.mul 30_000L (Int64.of_int base) in
-  List.map
-    (fun period ->
-      let count = Int64.to_int (Int64.div window period) in
-      let r =
-        match stack with
-        | Vmm -> run_vmm ~mode ~period ~count
-        | Uk -> run_uk ~mode ~period ~count
-      in
-      (period, r))
-    probe_periods
-
-let knee runs =
-  let rec find = function
-    | [] -> infinity
-    | (_, r) :: rest -> if efficiency r < 0.9 then r.offered else find rest
-  in
-  find runs
+  Scenario.rx_probe ~base ~periods:probe_periods (fun ~period ~count ->
+      (run stack mode ~period ~count).rx)
 
 (* E14's 8-core storm with the coalescing factor: every [coalesce]-th
    packet pays the full IRQ entry, the rest land under the open hold-off
    window at poll cost. *)
-type storm = { s_completed : int; s_wall : int64; s_irq_cycles : int64 }
+let storm_layout = function
+  | Uk -> Scenario.Smp_uk Cluster.Colocated
+  | Vmm -> Scenario.Smp_vmm Svmm.Driver_domains
 
-let storm_seed = 16L
-
-let run_storm kind ~packets ~coalesce =
-  match kind with
-  | Uk ->
-      let cfg =
-        {
-          (Cluster.default ~placement:Cluster.Colocated ~cores:8 ()) with
-          Cluster.packets;
-          coalesce;
-        }
-      in
-      let r = Cluster.run ~seed:storm_seed cfg in
-      {
-        s_completed = r.Cluster.completed;
-        s_wall = r.Cluster.wall;
-        s_irq_cycles =
-          Accounts.balance r.Cluster.mach.Machine.accounts "smp.irq";
-      }
-  | Vmm ->
-      let cfg =
-        {
-          (Svmm.default ~backend:Svmm.Driver_domains ~cores:8 ()) with
-          Svmm.packets;
-          coalesce;
-        }
-      in
-      let r = Svmm.run ~seed:storm_seed cfg in
-      {
-        s_completed = r.Svmm.completed;
-        s_wall = r.Svmm.wall;
-        s_irq_cycles = Accounts.balance r.Svmm.mach.Machine.accounts "smp.irq";
-      }
-
-let storm_label = function
-  | Uk -> "uk/colocated"
-  | Vmm -> "vmm/driver-domains"
+let irq_cycles (s : Scenario.smp_storm) =
+  Accounts.balance s.mach.Machine.accounts "smp.irq"
 
 let experiment =
   {
@@ -413,14 +200,14 @@ let experiment =
               Table.add_row t
                 [
                   mult_label m;
-                  Table.cellf "%.1f" i.offered;
+                  Table.cellf "%.1f" i.rx.offered;
                   Table.cellf "%.0f" i.cyc_pkt;
                   Table.cellf "%.0f" p.cyc_pkt;
                   Table.cellf "%.0f" h.cyc_pkt;
-                  Table.cellf "%.1f" i.goodput;
-                  Table.cellf "%.1f" p.goodput;
-                  Table.cellf "%.1f" h.goodput;
-                  Table.cellf "%.0f" (h.p99 /. 1e3);
+                  Table.cellf "%.1f" i.rx.goodput;
+                  Table.cellf "%.1f" p.rx.goodput;
+                  Table.cellf "%.1f" h.rx.goodput;
+                  Table.cellf "%.0f" (h.rx.p99 /. 1e3);
                 ])
             mults;
           t
@@ -448,14 +235,14 @@ let experiment =
                 let r = get stack mode top in
                 let avg_batch =
                   if r.poll_rounds = 0 then 0.0
-                  else float_of_int r.received /. float_of_int r.poll_rounds
+                  else float_of_int r.rx.received /. float_of_int r.poll_rounds
                 in
                 Table.add_row itemized
                   [
                     config_label stack mode;
-                    string_of_int r.injected;
-                    string_of_int r.received;
-                    string_of_int r.timely;
+                    string_of_int r.rx.injected;
+                    string_of_int r.rx.received;
+                    string_of_int r.rx.timely;
                     string_of_int r.coalesced;
                     string_of_int r.poll_rounds;
                     Table.cellf "%.1f" avg_batch;
@@ -474,7 +261,7 @@ let experiment =
             stacks
         in
         let probe stack mode = List.assoc mode (List.assoc stack probes) in
-        let knee_of stack mode = knee (probe stack mode) in
+        let knee_of stack mode = Scenario.rx_knee (probe stack mode) in
         let probe_table =
           let t =
             Table.create
@@ -487,18 +274,19 @@ let experiment =
                   "uk hyb eff";
                 ]
           in
+          let eff = Scenario.rx_efficiency in
           List.iteri
-            (fun i (_, vi) ->
-              let vh = snd (List.nth (probe Vmm Hybrid) i) in
-              let ui = snd (List.nth (probe Uk Interrupt) i) in
-              let uh = snd (List.nth (probe Uk Hybrid) i) in
+            (fun i (vi : Scenario.rx_storm) ->
+              let vh = List.nth (probe Vmm Hybrid) i in
+              let ui = List.nth (probe Uk Interrupt) i in
+              let uh = List.nth (probe Uk Hybrid) i in
               Table.add_row t
                 [
                   Table.cellf "%.0f" vi.offered;
-                  Table.cellf "%.2f" (efficiency vi);
-                  Table.cellf "%.2f" (efficiency vh);
-                  Table.cellf "%.2f" (efficiency ui);
-                  Table.cellf "%.2f" (efficiency uh);
+                  Table.cellf "%.2f" (eff vi);
+                  Table.cellf "%.2f" (eff vh);
+                  Table.cellf "%.2f" (eff ui);
+                  Table.cellf "%.2f" (eff uh);
                 ])
             (probe Vmm Interrupt);
           t
@@ -511,7 +299,9 @@ let experiment =
               ( kind,
                 List.map
                   (fun coalesce ->
-                    (coalesce, run_storm kind ~packets:storm_packets ~coalesce))
+                    ( coalesce,
+                      Scenario.run_smp ~seed:16L ~coalesce (storm_layout kind)
+                        ~cores:8 ~packets:storm_packets ))
                   [ 1; 8 ] ))
             [ Uk; Vmm ]
         in
@@ -534,15 +324,12 @@ let experiment =
                 (fun (coalesce, s) ->
                   Table.add_row t
                     [
-                      storm_label kind;
+                      Scenario.smp_label (storm_layout kind);
                       string_of_int coalesce;
-                      string_of_int s.s_completed;
-                      Table.cellf "%.0f" (Int64.to_float s.s_wall /. 1e3);
-                      Table.cellf "%.0f" (Int64.to_float s.s_irq_cycles /. 1e3);
-                      Table.cellf "%.1f"
-                        (float_of_int s.s_completed
-                        *. 1e6
-                        /. Int64.to_float s.s_wall);
+                      string_of_int s.Scenario.delivered;
+                      Table.cellf "%.0f" (Int64.to_float s.wall /. 1e3);
+                      Table.cellf "%.0f" (Int64.to_float (irq_cycles s) /. 1e3);
+                      Table.cellf "%.1f" (Scenario.throughput s);
                     ])
                 runs)
             storms;
@@ -554,10 +341,10 @@ let experiment =
           (get stack Hybrid m).cyc_pkt < (get stack Interrupt m).cyc_pkt
         in
         let cures stack =
-          (get stack Hybrid top).goodput > (get stack Interrupt top).goodput
+          (get stack Hybrid top).rx.goodput > (get stack Interrupt top).rx.goodput
         in
         let parity stack =
-          let i = get stack Interrupt low and h = get stack Hybrid low in
+          let i = (get stack Interrupt low).rx and h = (get stack Hybrid low).rx in
           h.p99 <= i.p99 +. Int64.to_float (window stack)
         in
         let knees_right stack =
@@ -565,15 +352,15 @@ let experiment =
         in
         let composes kind =
           let c1 = storm_get kind 1 and c8 = storm_get kind 8 in
-          c8.s_completed = c1.s_completed
-          && Int64.compare c8.s_irq_cycles c1.s_irq_cycles < 0
-          && Int64.compare c8.s_wall c1.s_wall <= 0
+          c8.Scenario.delivered = c1.Scenario.delivered
+          && Int64.compare (irq_cycles c8) (irq_cycles c1) < 0
+          && Int64.compare c8.wall c1.wall <= 0
         in
         let rerun_vmm = run_one Vmm Hybrid ~base top in
         let rerun_uk = run_one Uk Hybrid ~base top in
         let deterministic =
-          (get Vmm Hybrid top).fp = rerun_vmm.fp
-          && (get Uk Hybrid top).fp = rerun_uk.fp
+          digest (get Vmm Hybrid top) = digest rerun_vmm
+          && digest (get Uk Hybrid top) = digest rerun_uk
         in
         let fmt_knee k =
           if k = infinity then ">200" else Printf.sprintf "%.0f" k
@@ -602,10 +389,10 @@ let experiment =
                  (interrupt-only) collapse floor, on both structures"
               ~measured:
                 (Printf.sprintf "vmm %.1f vs %.1f; uk %.1f vs %.1f pkt/Mcyc"
-                   (get Vmm Hybrid top).goodput
-                   (get Vmm Interrupt top).goodput
-                   (get Uk Hybrid top).goodput
-                   (get Uk Interrupt top).goodput)
+                   (get Vmm Hybrid top).rx.goodput
+                   (get Vmm Interrupt top).rx.goodput
+                   (get Uk Hybrid top).rx.goodput
+                   (get Uk Interrupt top).rx.goodput)
               (cures Vmm && cures Uk);
             Experiment.verdict
               ~claim:"Hybrid keeps interrupt-mode latency at low rate"
@@ -614,8 +401,8 @@ let experiment =
                  interrupt-only, on both structures"
               ~measured:
                 (Printf.sprintf "vmm p99 %.0f vs %.0f; uk %.0f vs %.0f cyc"
-                   (get Vmm Hybrid low).p99 (get Vmm Interrupt low).p99
-                   (get Uk Hybrid low).p99 (get Uk Interrupt low).p99)
+                   (get Vmm Hybrid low).rx.p99 (get Vmm Interrupt low).rx.p99
+                   (get Uk Hybrid low).rx.p99 (get Uk Interrupt low).rx.p99)
               (parity Vmm && parity Uk);
             Experiment.verdict
               ~claim:"Mitigation moves the saturation knee right"
@@ -640,14 +427,14 @@ let experiment =
                 (Printf.sprintf
                    "uk irq kcyc %.0f -> %.0f (wall %.0fk -> %.0fk); vmm %.0f \
                     -> %.0f (wall %.0fk -> %.0fk)"
-                   (Int64.to_float (storm_get Uk 1).s_irq_cycles /. 1e3)
-                   (Int64.to_float (storm_get Uk 8).s_irq_cycles /. 1e3)
-                   (Int64.to_float (storm_get Uk 1).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Uk 8).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Vmm 1).s_irq_cycles /. 1e3)
-                   (Int64.to_float (storm_get Vmm 8).s_irq_cycles /. 1e3)
-                   (Int64.to_float (storm_get Vmm 1).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Vmm 8).s_wall /. 1e3))
+                   (Int64.to_float (irq_cycles (storm_get Uk 1)) /. 1e3)
+                   (Int64.to_float (irq_cycles (storm_get Uk 8)) /. 1e3)
+                   (Int64.to_float (storm_get Uk 1).wall /. 1e3)
+                   (Int64.to_float (storm_get Uk 8).wall /. 1e3)
+                   (Int64.to_float (irq_cycles (storm_get Vmm 1)) /. 1e3)
+                   (Int64.to_float (irq_cycles (storm_get Vmm 8)) /. 1e3)
+                   (Int64.to_float (storm_get Vmm 1).wall /. 1e3)
+                   (Int64.to_float (storm_get Vmm 8).wall /. 1e3))
               (composes Uk && composes Vmm);
             Experiment.verdict ~claim:"Mitigated runs stay deterministic"
               ~expected:

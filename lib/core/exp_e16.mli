@@ -8,20 +8,17 @@ val experiment : Experiment.t
 (** {1 Test hooks}
 
     The replay test drives single runs directly and compares their
-    fingerprints bit-for-bit. *)
+    digests. *)
 
 type stack = Vmm | Uk
 type mode = Interrupt | Polling | Hybrid
-
-type fingerprint
-(** Wall time, arrivals, counters and accounts of one run; structural
-    equality is bit-for-bit reproducibility. *)
-
 type run
 
 val run_one : stack -> mode -> base:int -> int * int -> run
 (** One run at offered-load multiplier [num, den] of the stack's
     capacity, injecting [base * num / den] packets. *)
 
-val fp : run -> fingerprint
+val digest : run -> string
+(** {!Scenario.rx_storm} digest: machine state plus every arrival. *)
+
 val received : run -> int

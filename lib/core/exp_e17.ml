@@ -53,17 +53,6 @@ let sender_pace = 8_000
 let io_timeout = 20_000_000L
 let settle = 50_000
 
-(* Everything a same-seed rerun must reproduce bit-for-bit: the
-   arrival stream plus every counter (vnet, overload, l4 namespaces)
-   and cycle account the fabric touched. *)
-type fingerprint = {
-  f_wall : int64;
-  f_sent : int;
-  f_arrivals : (int * int64) list;
-  f_counters : (string * int) list;
-  f_accounts : (string * int64) list;
-}
-
 type run = {
   sent : int;
   received : int;
@@ -75,12 +64,12 @@ type run = {
   marks : int;
   backoffs : int;
   vnet_drops : int;
+  fair_sheds : int;
   per_src : (int * int) list;  (** Delivered packets grouped by source. *)
-  fp : fingerprint;
+  digest : string;
+      (** Replay digest: the machine plus the sent count and every
+          arrival. *)
 }
-
-let counter_of r name =
-  Option.value ~default:0 (List.assoc_opt name r.fp.f_counters)
 
 let per_src_of arrivals =
   let tbl = Hashtbl.create 8 in
@@ -141,15 +130,11 @@ let summarize stack mach ~sent ~arrivals =
     marks = Counter.get c Overload.ecn_mark_counter;
     backoffs = Counter.get c Overload.ecn_backoff_counter;
     vnet_drops = Counter.get c "vnet.drop";
+    fair_sheds = Counter.get c Overload.fair_shed_counter;
     per_src = per_src_of arrivals;
-    fp =
-      {
-        f_wall = Machine.now mach;
-        f_sent = sent;
-        f_arrivals = List.sort compare arrivals;
-        f_counters = Counter.to_list c;
-        f_accounts = Accounts.to_list a;
-      };
+    digest =
+      Machine.digest mach
+        (Printf.sprintf "sent %d" sent :: Scenario.arrival_lines arrivals);
   }
 
 (* --- portable application bodies (identical on both stacks) --- *)
@@ -359,7 +344,7 @@ let fairness ~count ~fair =
 let delivered_from r src =
   Option.value ~default:0 (List.assoc_opt src r.per_src)
 
-let fp r = r.fp
+let digest r = r.digest
 let received r = r.received
 
 (* ECN: one fast sender into one slow receiver, with and without the
@@ -440,40 +425,12 @@ let flow_sweep ~caps ~rounds =
 (* E14 composition: the 8-core storm (colocated microkernel cluster,
    driver-domain VMM) with E16's coalescing factor — the fabric rides
    on the same placement substrate, which must keep composing. *)
-type storm = { s_completed : int; s_wall : int64; s_irq_cycles : int64 }
+let storm_layout = function
+  | Uk -> Scenario.Smp_uk Cluster.Colocated
+  | Vmm -> Scenario.Smp_vmm Svmm.Driver_domains
 
-let storm_seed = 17L
-
-let run_storm kind ~packets ~coalesce =
-  match kind with
-  | Uk ->
-      let cfg =
-        {
-          (Cluster.default ~placement:Cluster.Colocated ~cores:8 ()) with
-          Cluster.packets;
-          coalesce;
-        }
-      in
-      let r = Cluster.run ~seed:storm_seed cfg in
-      {
-        s_completed = r.Cluster.completed;
-        s_wall = r.Cluster.wall;
-        s_irq_cycles = Accounts.balance r.Cluster.mach.Machine.accounts "smp.irq";
-      }
-  | Vmm ->
-      let cfg =
-        {
-          (Svmm.default ~backend:Svmm.Driver_domains ~cores:8 ()) with
-          Svmm.packets;
-          coalesce;
-        }
-      in
-      let r = Svmm.run ~seed:storm_seed cfg in
-      {
-        s_completed = r.Svmm.completed;
-        s_wall = r.Svmm.wall;
-        s_irq_cycles = Accounts.balance r.Svmm.mach.Machine.accounts "smp.irq";
-      }
+let irq_cycles (s : Scenario.smp_storm) =
+  Accounts.balance s.mach.Machine.accounts "smp.irq"
 
 (* --- the experiment --- *)
 
@@ -524,7 +481,9 @@ let experiment =
               ( kind,
                 List.map
                   (fun c ->
-                    (c, run_storm kind ~packets:storm_packets ~coalesce:c))
+                    ( c,
+                      Scenario.run_smp ~seed:17L ~coalesce:c (storm_layout kind)
+                        ~cores:8 ~packets:storm_packets ))
                   [ 1; 8 ] ))
             [ Uk; Vmm ]
         in
@@ -636,7 +595,7 @@ let experiment =
                   Table.cellf "%.2f"
                     (float_of_int (delivered_from r 2)
                     /. float_of_int (max 1 count));
-                  string_of_int (counter_of r Overload.fair_shed_counter);
+                  string_of_int r.fair_sheds;
                   string_of_int r.vnet_drops;
                 ])
             [ ("fifo", fair_off); ("weighted", fair_on) ];
@@ -677,13 +636,11 @@ let experiment =
                 (fun (c, s) ->
                   Table.add_row t
                     [
-                      (match kind with
-                      | Uk -> "uk/colocated"
-                      | Vmm -> "vmm/driver-domains");
+                      Scenario.smp_label (storm_layout kind);
                       string_of_int c;
-                      string_of_int s.s_completed;
-                      Table.cellf "%.0f" (Int64.to_float s.s_wall /. 1e3);
-                      Table.cellf "%.0f" (Int64.to_float s.s_irq_cycles /. 1e3);
+                      string_of_int s.Scenario.delivered;
+                      Table.cellf "%.0f" (Int64.to_float s.wall /. 1e3);
+                      Table.cellf "%.0f" (Int64.to_float (irq_cycles s) /. 1e3);
                     ])
                 runs)
             storms;
@@ -718,7 +675,7 @@ let experiment =
         in
         let fair_restores =
           delivered_from fair_on 2 > delivered_from fair_off 2
-          && counter_of fair_on Overload.fair_shed_counter > 0
+          && fair_on.fair_sheds > 0
         in
         let ecn_paces =
           List.for_all
@@ -729,12 +686,13 @@ let experiment =
         let storm_get kind c = List.assoc c (List.assoc kind storms) in
         let composes kind =
           let c1 = storm_get kind 1 and c8 = storm_get kind 8 in
-          c8.s_completed = c1.s_completed
-          && Int64.compare c8.s_irq_cycles c1.s_irq_cycles < 0
-          && Int64.compare c8.s_wall c1.s_wall <= 0
+          c8.Scenario.delivered = c1.Scenario.delivered
+          && Int64.compare (irq_cycles c8) (irq_cycles c1) < 0
+          && Int64.compare c8.wall c1.wall <= 0
         in
         let deterministic =
-          (pw 8 Vmm).fp = rerun_vmm.fp && (pw 8 Uk).fp = rerun_uk.fp
+          (pw 8 Vmm).digest = rerun_vmm.digest
+          && (pw 8 Uk).digest = rerun_uk.digest
         in
         let verdicts =
           [
@@ -810,7 +768,7 @@ let experiment =
                    "victim %d/%d -> %d/%d delivered; fair sheds %d"
                    (delivered_from fair_off 2) count (delivered_from fair_on 2)
                    count
-                   (counter_of fair_on Overload.fair_shed_counter))
+                   fair_on.fair_sheds)
               fair_restores;
             Experiment.verdict
               ~claim:"ECN marks pace senders before drops (both stacks)"
@@ -834,10 +792,10 @@ let experiment =
               ~measured:
                 (Printf.sprintf
                    "uk wall %.0fk -> %.0fk; vmm wall %.0fk -> %.0fk"
-                   (Int64.to_float (storm_get Uk 1).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Uk 8).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Vmm 1).s_wall /. 1e3)
-                   (Int64.to_float (storm_get Vmm 8).s_wall /. 1e3))
+                   (Int64.to_float (storm_get Uk 1).wall /. 1e3)
+                   (Int64.to_float (storm_get Uk 8).wall /. 1e3)
+                   (Int64.to_float (storm_get Vmm 1).wall /. 1e3)
+                   (Int64.to_float (storm_get Vmm 8).wall /. 1e3))
               (composes Uk && composes Vmm);
             Experiment.verdict ~claim:"The fabric replays bit-for-bit"
               ~expected:

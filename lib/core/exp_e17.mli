@@ -12,19 +12,17 @@ val experiment : Experiment.t
 (** {1 Test hooks}
 
     The replay test drives single runs directly and compares their
-    fingerprints bit-for-bit. *)
+    digests. *)
 
 type stack = Vmm | Uk
-
-type fingerprint
-(** Wall time, sent count, arrivals, counters and accounts of one run;
-    structural equality is bit-for-bit reproducibility. *)
-
 type run
 
 val pairwise : stack:stack -> guests:int -> count:int -> run
 (** One pairwise run: [guests/2] unidirectional flows of [count]
     packets each (odd ports send to port+1). *)
 
-val fp : run -> fingerprint
+val digest : run -> string
+(** {!Vmk_hw.Machine.digest} of the run plus its sent count and every
+    arrival. *)
+
 val received : run -> int

@@ -2,14 +2,10 @@ module Machine = Vmk_hw.Machine
 module Nic = Vmk_hw.Nic
 module Counter = Vmk_trace.Counter
 module Accounts = Vmk_trace.Accounts
-module Rng = Vmk_sim.Rng
 module Table = Vmk_stats.Table
 module Kernel = Vmk_ukernel.Kernel
-module Sysif = Vmk_ukernel.Sysif
 module Svc = Vmk_ukernel.Svc
 module Watchdog = Vmk_ukernel.Watchdog
-module Net_server = Vmk_ukernel.Net_server
-module Blk_server = Vmk_ukernel.Blk_server
 module Cluster = Vmk_ukernel.Smp_cluster
 module Hypervisor = Vmk_vmm.Hypervisor
 module Hcall = Vmk_vmm.Hcall
@@ -33,7 +29,7 @@ module Faults = Vmk_faults.Faults
    backend in its own driver domain under a thin toolstack and kills
    only the netback domain. The blast radius is whatever stalls. *)
 let kill_at = 4_000_000L
-let sup_period = 1_000_000L
+let sup_period = Scenario.supervision_period
 let connect_timeout = 10_000_000L
 let net_period = 200_000L
 let packet_len = 512
@@ -59,13 +55,7 @@ type bres = {
   b_reconnects : int;  (** Frontends dragged through reconnect. *)
   b_net_generation : int;
   b_finished : bool;
-  b_wall : int64;
-  b_injected : int;
-  b_net_arrivals : (int * int64) list;
-  b_blk_log : (int64 * bool) list;
-  b_vnet_arrivals : (int * int64) list;
-  b_counters : (string * int) list;
-  b_accounts : (string * int64) list;
+  b_digest : string;
 }
 
 let max_gap times =
@@ -79,6 +69,44 @@ let first_after at times =
   List.find_map
     (fun t -> if Int64.compare t at > 0 then Some (Int64.sub t at) else None)
     times
+
+(* One blast-radius run reduced to its measurements. [net] and [vnet]
+   arrive as recorded (tag, time) pairs, [blk] as the op log newest
+   first. The digest covers the machine, the injected count, the
+   outcome and every arrival and op-log entry. *)
+let bres_of mach ~label ~target ~kill ~(stats : Apps.stats) ~injected ~net ~blk
+    ~vnet ~restarts ~reconnects ~generation ~finished =
+  let net = List.sort compare net in
+  let blk = List.rev blk in
+  let vnet = List.sort compare vnet in
+  let net_times = List.map snd net in
+  let blk_ok_times = List.filter_map (fun (t, ok) -> if ok then Some t else None) blk in
+  {
+    b_label = label;
+    b_target = (if kill then target else "-");
+    b_blk_completed = stats.completed;
+    b_blk_lost = stats.errors;
+    b_blk_stall = max_gap blk_ok_times;
+    b_blk_recovery = (if kill then first_after kill_at blk_ok_times else None);
+    b_net_rx = List.length net;
+    b_net_post =
+      List.length (List.filter (fun t -> Int64.compare t kill_at > 0) net_times);
+    b_net_stall = max_gap net_times;
+    b_net_recovery = (if kill then first_after kill_at net_times else None);
+    b_vnet_rx = List.length vnet;
+    b_vnet_stall = max_gap (List.map snd vnet);
+    b_restarts = restarts;
+    b_reconnects = reconnects;
+    b_net_generation = generation;
+    b_finished = finished;
+    b_digest =
+      Machine.digest mach
+        (Printf.sprintf "injected %d blk %d/%d restarts %d generation %d %b"
+           injected stats.completed stats.errors restarts generation finished
+         :: Scenario.arrival_lines net
+        @ List.map (fun (t, ok) -> Printf.sprintf "blk %Ld %b" t ok) blk
+        @ List.map (fun (tag, at) -> Printf.sprintf "vnet %d %Ld" tag at) vnet);
+  }
 
 (* What the toolstack / supervisor / watchdog side of one run looks like
    to the measurement code, independent of how the backends are hosted. *)
@@ -106,17 +134,8 @@ let xen_run ~quick ~mode ~kill =
   let ctl, net_backend, blk_backend, has_vnet =
     match mode with
     | Monolithic ->
-        let make ~restart () =
-          Dom0.body mach ~connect_timeout ~generation:restart ~net:[ nchan ]
-            ~blk:[ bchan ] ()
-        in
-        let dom0 =
-          Hypervisor.create_domain h ~name:Dom0.name ~privileged:true
-            (make ~restart:0)
-        in
-        let sup =
-          Hypervisor.supervise h ~name:Dom0.name ~privileged:true
-            ~period:sup_period ~make_body:make dom0
+        let dom0, sup =
+          Scenario.dom0_supervised mach h ~net:[ nchan ] ~blk:[ bchan ]
         in
         ( {
             c_target = Dom0.name;
@@ -248,40 +267,14 @@ let xen_run ~quick ~mode ~kill =
   ctl.c_stop ();
   ignore (Hypervisor.run h);
   Faults.disarm armed mach;
-  let net = List.sort compare !arrivals in
-  let blk = List.rev !blk_log in
-  let vnet = List.sort compare !vnet_arrivals in
-  let net_times = List.map snd net in
-  let blk_ok_times = List.filter_map (fun (t, ok) -> if ok then Some t else None) blk in
   let label =
     match mode with Monolithic -> "xen/monolithic" | Disaggregated -> "xen/driver-domains"
   in
-  {
-    b_label = label;
-    b_target = (if kill then ctl.c_target else "-");
-    b_blk_completed = blk_stats.Apps.completed;
-    b_blk_lost = blk_stats.Apps.errors;
-    b_blk_stall = max_gap blk_ok_times;
-    b_blk_recovery = (if kill then first_after kill_at blk_ok_times else None);
-    b_net_rx = List.length net;
-    b_net_post =
-      List.length (List.filter (fun t -> Int64.compare t kill_at > 0) net_times);
-    b_net_stall = max_gap net_times;
-    b_net_recovery = (if kill then first_after kill_at net_times else None);
-    b_vnet_rx = List.length vnet;
-    b_vnet_stall = max_gap (List.map snd vnet);
-    b_restarts = ctl.c_restarts ();
-    b_reconnects = Counter.get mach.Machine.counters "xen.reconnects";
-    b_net_generation = ctl.c_net_generation ();
-    b_finished = finished ();
-    b_wall = Machine.now mach;
-    b_injected = Traffic.injected source;
-    b_net_arrivals = net;
-    b_blk_log = blk;
-    b_vnet_arrivals = vnet;
-    b_counters = Counter.to_list mach.Machine.counters;
-    b_accounts = Accounts.to_list mach.Machine.accounts;
-  }
+  bres_of mach ~label ~target:ctl.c_target ~kill ~stats:blk_stats
+    ~injected:(Traffic.injected source) ~net:!arrivals ~blk:!blk_log
+    ~vnet:!vnet_arrivals ~restarts:(ctl.c_restarts ())
+    ~reconnects:(Counter.get mach.Machine.counters "xen.reconnects")
+    ~generation:(ctl.c_net_generation ()) ~finished:(finished ())
 
 (* --- the microkernel stack: same flows, net server killed --- *)
 
@@ -290,55 +283,18 @@ let l4_run ~quick ~kill =
   let packets = if quick then 24 else 48 in
   let mach = Machine.create ~seed:63L () in
   let k = Kernel.create mach in
-  let blk_spec () =
-    {
-      Sysif.name = "blk-server";
-      priority = 2;
-      same_space = false;
-      pager = None;
-      body = (fun () -> Blk_server.body mach ());
-    }
-  in
-  let net_spec () =
-    {
-      Sysif.name = "net-server";
-      priority = 2;
-      same_space = false;
-      pager = None;
-      body = (fun () -> Net_server.body mach ());
-    }
-  in
-  let blk_tid =
-    Kernel.spawn k ~name:"blk-server" ~priority:2 ~account:Blk_server.account
-      (fun () -> Blk_server.body mach ())
-  in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ())
-  in
-  let blk_entry = Svc.entry ~name:"blk" blk_tid in
-  let net_entry = Svc.entry ~name:"net" net_tid in
-  let wd = Watchdog.create () in
-  let _wd_tid =
-    Kernel.spawn k ~name:"watchdog" ~priority:1 ~account:"watchdog"
-      (Watchdog.body mach wd ~period:sup_period ~ping_timeout:200_000L
-         [ (blk_entry, blk_spec); (net_entry, net_spec) ])
-  in
-  let retry () =
-    Port_l4.retry ~mach ~attempts:8 ~timeout:1_000_000L ~base_delay:100_000L
-      (Rng.split mach.Machine.rng)
-  in
+  let sv = Scenario.l4_supervised mach k in
   (* One guest kernel per client: the block client's syscall path shares
      nothing with the net path but the microkernel itself. *)
   let gk_net =
     Kernel.spawn k ~name:"gk-net" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ~retry:(retry ()) ~net_svc:net_entry
-         ~net:(Some net_tid) ~blk:None)
+      (Port_l4.guest_kernel_body ~retry:(Scenario.l4_retry mach)
+         ~net_svc:sv.net_svc ~net:(Some (Svc.tid sv.net_svc)) ~blk:None)
   in
   let gk_blk =
     Kernel.spawn k ~name:"gk-blk" ~priority:3 ~account:Port_l4.gk_account
-      (Port_l4.guest_kernel_body ~retry:(retry ()) ~blk_svc:blk_entry
-         ~net:None ~blk:(Some blk_tid))
+      (Port_l4.guest_kernel_body ~retry:(Scenario.l4_retry mach)
+         ~blk_svc:sv.blk_svc ~net:None ~blk:(Some (Svc.tid sv.blk_svc)))
   in
   let net_done = ref false and blk_done = ref false in
   let arrivals = ref [] in
@@ -381,47 +337,23 @@ let l4_run ~quick ~kill =
   in
   let armed =
     Faults.arm plan mach ~kill:(fun target ->
-        if target = "net-server" then Kernel.kill k (Svc.tid net_entry))
+        if target = "net-server" then Kernel.kill k (Svc.tid sv.net_svc))
   in
   ignore (Kernel.run k ~until:(fun () -> !net_done && !blk_done));
-  Watchdog.stop wd;
+  Watchdog.stop sv.watchdog;
   ignore (Kernel.run k);
   Faults.disarm armed mach;
-  let net = List.sort compare !arrivals in
-  let blk = List.rev !blk_log in
-  let net_times = List.map snd net in
-  let blk_ok_times = List.filter_map (fun (t, ok) -> if ok then Some t else None) blk in
   (* Respawns are recorded under the registry entry's name. *)
   let respawns =
     List.length
-      (List.filter (fun (name, _) -> name = "net") (Watchdog.respawns wd))
+      (List.filter (fun (name, _) -> name = "net")
+         (Watchdog.respawns sv.watchdog))
   in
-  {
-    b_label = "l4/multi-server";
-    b_target = (if kill then "net-server" else "-");
-    b_blk_completed = blk_stats.Apps.completed;
-    b_blk_lost = blk_stats.Apps.errors;
-    b_blk_stall = max_gap blk_ok_times;
-    b_blk_recovery = (if kill then first_after kill_at blk_ok_times else None);
-    b_net_rx = List.length net;
-    b_net_post =
-      List.length (List.filter (fun t -> Int64.compare t kill_at > 0) net_times);
-    b_net_stall = max_gap net_times;
-    b_net_recovery = (if kill then first_after kill_at net_times else None);
-    b_vnet_rx = 0;
-    b_vnet_stall = 0L;
-    b_restarts = respawns;
-    b_reconnects = Counter.get mach.Machine.counters "l4.retries";
-    b_net_generation = respawns;
-    b_finished = !net_done && !blk_done;
-    b_wall = Machine.now mach;
-    b_injected = Traffic.injected source;
-    b_net_arrivals = net;
-    b_blk_log = blk;
-    b_vnet_arrivals = [];
-    b_counters = Counter.to_list mach.Machine.counters;
-    b_accounts = Accounts.to_list mach.Machine.accounts;
-  }
+  bres_of mach ~label:"l4/multi-server" ~target:"net-server" ~kill
+    ~stats:blk_stats ~injected:(Traffic.injected source) ~net:!arrivals
+    ~blk:!blk_log ~vnet:[] ~restarts:respawns
+    ~reconnects:(Counter.get mach.Machine.counters "l4.retries")
+    ~generation:respawns ~finished:(!net_done && !blk_done)
 
 (* --- the E10 TCB rerun: who serves a lone storage client --- *)
 
@@ -499,44 +431,16 @@ let tcb_run ~quick ~mode =
 
 (* --- the E14 storm with a fixed driver-domain fleet --- *)
 
-type smp_kind = Smp_uk | Smp_dom0 | Smp_percore | Smp_fleet
-
-let smp_kinds = [ Smp_uk; Smp_dom0; Smp_percore; Smp_fleet ]
 let fleet_size = 3
+let smp_uk = Scenario.Smp_uk Cluster.Pinned
+let smp_dom0 = Scenario.Smp_vmm Svmm.Single_dom0
+let smp_percore = Scenario.Smp_vmm Svmm.Driver_domains
+let smp_fleet = Scenario.Smp_vmm (Svmm.Fixed_domains fleet_size)
+let smp_kinds = [ smp_uk; smp_dom0; smp_percore; smp_fleet ]
 
 let smp_label = function
-  | Smp_uk -> "uk/pinned"
-  | Smp_dom0 -> "vmm/single-dom0"
-  | Smp_percore -> "vmm/per-core-drivers"
-  | Smp_fleet -> Printf.sprintf "vmm/%d-domain-fleet" fleet_size
-
-let smp_seed = 18L
-
-type smp_run = { s_completed : int; s_wall : int64 }
-
-let smp_case ~kind ~cores ~packets =
-  match kind with
-  | Smp_uk ->
-      let cfg =
-        { (Cluster.default ~placement:Cluster.Pinned ~cores ()) with
-          Cluster.packets }
-      in
-      let r = Cluster.run ~seed:smp_seed cfg in
-      { s_completed = r.Cluster.completed; s_wall = r.Cluster.wall }
-  | Smp_dom0 | Smp_percore | Smp_fleet ->
-      let backend =
-        match kind with
-        | Smp_dom0 -> Svmm.Single_dom0
-        | Smp_percore -> Svmm.Driver_domains
-        | _ -> Svmm.Fixed_domains fleet_size
-      in
-      let cfg = { (Svmm.default ~backend ~cores ()) with Svmm.packets } in
-      let r = Svmm.run ~seed:smp_seed cfg in
-      { s_completed = r.Svmm.completed; s_wall = r.Svmm.wall }
-
-let smp_throughput r =
-  if Int64.compare r.s_wall 0L <= 0 then 0.0
-  else float_of_int r.s_completed *. 1e6 /. Int64.to_float r.s_wall
+  | Scenario.Smp_vmm Svmm.Driver_domains -> "vmm/per-core-drivers"
+  | kind -> Scenario.smp_label kind
 
 (* --- reporting --- *)
 
@@ -609,12 +513,12 @@ let run ~quick =
         ( cores,
           List.map
             (fun kind ->
-              (kind, smp_case ~kind ~cores ~packets:storm_packets))
+              (kind, Scenario.run_smp ~seed:18L kind ~cores ~packets:storm_packets))
             smp_kinds ))
       core_counts
   in
   let tput ~cores ~kind =
-    smp_throughput (List.assoc kind (List.assoc cores storm))
+    Scenario.throughput (List.assoc kind (List.assoc cores storm))
   in
   let scale kind = tput ~cores:8 ~kind /. tput ~cores:1 ~kind in
   (* Tables. *)
@@ -650,7 +554,7 @@ let run ~quick =
       (fun (cores, row) ->
         Table.add_row t
           (string_of_int cores
-          :: List.map (fun (_, r) -> Table.cellf "%.1f" (smp_throughput r)) row))
+          :: List.map (fun (_, r) -> Table.cellf "%.1f" (Scenario.throughput r)) row))
       storm;
     t
   in
@@ -807,20 +711,21 @@ let run ~quick =
             (Printf.sprintf
                "8-core speedups: uk %.2fx, per-core %.2fx, fleet %.2fx, \
                 dom0 %.2fx"
-               (scale Smp_uk) (scale Smp_percore) (scale Smp_fleet)
-               (scale Smp_dom0))
-          (scale Smp_percore >= 0.7 *. scale Smp_uk
-          && tput ~cores:8 ~kind:Smp_fleet > tput ~cores:8 ~kind:Smp_dom0
-          && scale Smp_fleet > scale Smp_dom0);
+               (scale smp_uk) (scale smp_percore) (scale smp_fleet)
+               (scale smp_dom0))
+          (scale smp_percore >= 0.7 *. scale smp_uk
+          && tput ~cores:8 ~kind:smp_fleet > tput ~cores:8 ~kind:smp_dom0
+          && scale smp_fleet > scale smp_dom0);
         Experiment.verdict
           ~claim:"the disaggregated stack stays deterministic"
           ~expected:
             "same seed, fault-free: bit-for-bit identical arrivals, op logs, \
              counters and cycle accounts"
           ~measured:
-            (if disagg_base = disagg_replay then "two runs identical"
+            (if disagg_base.b_digest = disagg_replay.b_digest then
+               "two runs identical"
              else "runs diverged")
-          (disagg_base = disagg_replay);
+          (disagg_base.b_digest = disagg_replay.b_digest);
       ];
   }
 

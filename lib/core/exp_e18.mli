@@ -29,18 +29,13 @@ type bres = {
   b_reconnects : int;
   b_net_generation : int;
   b_finished : bool;
-  b_wall : int64;
-  b_injected : int;
-  b_net_arrivals : (int * int64) list;
-  b_blk_log : (int64 * bool) list;
-  b_vnet_arrivals : (int * int64) list;
-  b_counters : (string * int) list;
-  b_accounts : (string * int64) list;
+  b_digest : string;
+      (** {!Vmk_hw.Machine.digest} of the run plus its injected count,
+          measured outcome, arrivals and block op log. *)
 }
 (** One blast-radius run: three concurrent flows (NIC receive, storage,
     inter-guest vnet) with the net backend optionally killed at 4M
-    cycles. Structural equality of two [bres] values is bit-for-bit
-    reproducibility. *)
+    cycles. Equal digests are bit-for-bit reproducibility. *)
 
 val xen_run : quick:bool -> mode:xmode -> kill:bool -> bres
 (** The Xen-style stack: monolithic Dom0 + supervisor, or three driver

@@ -23,7 +23,6 @@ module Table = Vmk_stats.Table
 module Machine = Vmk_hw.Machine
 module Addr = Vmk_hw.Addr
 module Counter = Vmk_trace.Counter
-module Accounts = Vmk_trace.Accounts
 module Rng = Vmk_sim.Rng
 module Cap = Vmk_cap.Cap
 module Kernel = Vmk_ukernel.Kernel
@@ -55,9 +54,7 @@ type chain = {
   ch_transitive : int;  (** Transitive re-grants in the chain (vmm only). *)
   ch_teardown : int64;  (** Cycles of the revoke call itself. *)
   ch_severed : int;  (** Delegates that observed their rights gone. *)
-  ch_wall : int64;
   ch_counters : (string * int) list;
-  ch_accounts : (string * int64) list;
 }
 
 let cyc_per_cap c =
@@ -133,9 +130,7 @@ let uk_chain ~depth =
     ch_transitive = 0;
     ch_teardown = !teardown;
     ch_severed = !severed;
-    ch_wall = Machine.now mach;
     ch_counters = Counter.to_list counters;
-    ch_accounts = Accounts.to_list mach.Machine.accounts;
   }
 
 (* --- VMM chain: grant -> map -> transitive re-grant, d deep --- *)
@@ -205,9 +200,7 @@ let vmm_chain ~depth =
     ch_transitive = Counter.get counters "vmm.grant_transitive";
     ch_teardown = !teardown;
     ch_severed = !severed;
-    ch_wall = Machine.now mach;
     ch_counters = Counter.to_list counters;
-    ch_accounts = Accounts.to_list mach.Machine.accounts;
   }
 
 (* --- the revocation storm --- *)
@@ -222,10 +215,7 @@ type storm = {
   st_forced : int;  (** Forced unmaps from the storm's revoke (vmm). *)
   st_transitions : int;  (** Privileged transitions over the whole run. *)
   st_teardown : int64;  (** Revoke span (uk: call round trip; vmm: exact). *)
-  st_wall : int64;
-  st_arrivals : (int * int64) list;
-  st_counters : (string * int) list;
-  st_accounts : (string * int64) list;
+  st_digest : string;
 }
 
 let percentile_gap p times =
@@ -256,6 +246,33 @@ let innocent_times arrivals ~innocent =
    send [count] packets to port+1. Ports 1/2 are the misbehaving pair;
    3->4 and 5->6 are the innocent bystanders. *)
 let storm_innocent = [ 3; 5 ]
+
+(* Replay digest: the machine, every arrival and the revoke's measured
+   outcome. *)
+let storm_result mach ~count ~arrivals ~denied ~victim_failed ~removed ~forced
+    ~transitions ~teardown =
+  let arrivals = List.sort compare arrivals in
+  let innocent = innocent_times arrivals ~innocent:storm_innocent in
+  let p99_gap = percentile_gap 99 innocent in
+  {
+    st_innocent_rx = List.length innocent;
+    st_expected = 2 * count;
+    st_p99_gap = p99_gap;
+    st_denied = denied;
+    st_victim_failed = victim_failed;
+    st_removed = removed;
+    st_forced = forced;
+    st_transitions = transitions;
+    st_teardown = teardown;
+    st_digest =
+      Machine.digest mach
+        (Printf.sprintf
+           "innocent %d gap %Ld denied %d failed %d removed %d forced %d \
+            teardown %Ld"
+           (List.length innocent) p99_gap denied victim_failed removed forced
+           teardown
+        :: Scenario.arrival_lines arrivals);
+  }
 
 let sender ~src ~dst ~count () =
   Sys.burn settle;
@@ -377,23 +394,11 @@ let uk_storm ~quick ~revoke =
            revoke_done := true));
   ignore (Kernel.run k ~until:(fun () -> !pending = 0));
   ignore (Kernel.run k ~max_dispatches:100_000);
-  let arrivals = List.sort compare !arrivals in
-  let innocent = innocent_times arrivals ~innocent:storm_innocent in
-  {
-    st_innocent_rx = List.length innocent;
-    st_expected = 2 * count;
-    st_p99_gap = percentile_gap 99 innocent;
-    st_denied = Counter.get counters "drv.net.vnet_denied";
-    st_victim_failed = !victim_failed;
-    st_removed = !removed;
-    st_forced = 0;
-    st_transitions = Counter.get counters "uk.syscall";
-    st_teardown = !teardown;
-    st_wall = Machine.now mach;
-    st_arrivals = arrivals;
-    st_counters = Counter.to_list counters;
-    st_accounts = Accounts.to_list mach.Machine.accounts;
-  }
+  storm_result mach ~count ~arrivals:!arrivals
+    ~denied:(Counter.get counters "drv.net.vnet_denied")
+    ~victim_failed:!victim_failed ~removed:!removed ~forced:0
+    ~transitions:(Counter.get counters "uk.syscall")
+    ~teardown:!teardown
 
 (* Xen storm: pairwise traffic through the Dom0 bridge while a 3-deep
    transitive grant chain built by a side party is cut down at its root
@@ -490,24 +495,11 @@ let xen_storm ~quick ~revoke =
     apps;
   ignore (Hypervisor.run h ~until:(fun () -> !pending = 0));
   ignore (Hypervisor.run h ~max_dispatches:100_000);
-  let arrivals = List.sort compare !arrivals in
-  let innocent = innocent_times arrivals ~innocent:storm_innocent in
-  {
-    st_innocent_rx = List.length innocent;
-    st_expected = 2 * count;
-    st_p99_gap = percentile_gap 99 innocent;
-    st_denied = 0;
-    st_victim_failed = 0;
-    st_removed = !removed;
-    st_forced = !forced;
-    st_transitions =
-      Counter.get counters "vmm.hypercall" + Counter.get counters "vmm.upcall";
-    st_teardown = !teardown;
-    st_wall = Machine.now mach;
-    st_arrivals = arrivals;
-    st_counters = Counter.to_list counters;
-    st_accounts = Accounts.to_list mach.Machine.accounts;
-  }
+  storm_result mach ~count ~arrivals:!arrivals ~denied:0 ~victim_failed:0
+    ~removed:!removed ~forced:!forced
+    ~transitions:
+      (Counter.get counters "vmm.hypercall" + Counter.get counters "vmm.upcall")
+    ~teardown:!teardown
 
 (* --- reporting --- *)
 
@@ -657,7 +649,9 @@ let run ~quick =
     trans_delta_uk <= max 1 (uk_base.st_transitions / 2)
     && trans_delta_xen <= max 1 (xen_base.st_transitions / 2)
   in
-  let deterministic = uk_rev = uk_rev2 && xen_rev = xen_rev2 in
+  let deterministic =
+    uk_rev.st_digest = uk_rev2.st_digest && xen_rev.st_digest = xen_rev2.st_digest
+  in
   let verdicts =
     [
       Experiment.verdict

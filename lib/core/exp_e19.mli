@@ -19,9 +19,7 @@ type chain = {
   ch_transitive : int;  (** Transitive re-grants in the chain (vmm only). *)
   ch_teardown : int64;  (** Cycles of the revoke call itself. *)
   ch_severed : int;  (** Delegates that observed their rights gone. *)
-  ch_wall : int64;
   ch_counters : (string * int) list;
-  ch_accounts : (string * int64) list;
 }
 
 val uk_chain : depth:int -> chain
@@ -42,10 +40,9 @@ type storm = {
   st_forced : int;  (** Forced unmaps from the storm's revoke (vmm). *)
   st_transitions : int;  (** Privileged transitions over the whole run. *)
   st_teardown : int64;  (** Revoke span (uk: call round trip; vmm: exact). *)
-  st_wall : int64;
-  st_arrivals : (int * int64) list;
-  st_counters : (string * int) list;
-  st_accounts : (string * int64) list;
+  st_digest : string;
+      (** {!Vmk_hw.Machine.digest} of the run plus every arrival and the
+          fields above: equal digests are bit-for-bit replay. *)
 }
 
 val uk_storm : quick:bool -> revoke:bool -> storm

@@ -38,8 +38,6 @@ module Machine = Vmk_hw.Machine
 module Cpu = Vmk_hw.Cpu
 module Arch = Vmk_hw.Arch
 module Engine = Vmk_sim.Engine
-module Counter = Vmk_trace.Counter
-module Accounts = Vmk_trace.Accounts
 module Table = Vmk_stats.Table
 module Sketch = Vmk_stats.Quantile.Sketch
 module Smp = Vmk_smp.Smp
@@ -59,10 +57,8 @@ type mode = Naive | Policied
 
 let mode_name = function Naive -> "naive" | Policied -> "policied"
 
-(* --- per-packet fabric costs (mirrors the E14 smp storm models) --- *)
+(* --- per-packet fabric costs (the E14 smp storm models' recipes) --- *)
 
-let netback_work = 400 (* Dom0 netback per-packet driver work *)
-let driver_work = 600 (* uk net-server per-packet driver work *)
 let service_batch = 16 (* packets serviced per dispatch (E16 batching) *)
 
 type costs = {
@@ -78,7 +74,7 @@ let costs_of ~stack (arch : Arch.profile) =
          flip (two PT updates) under the global grant-table lock. *)
       let flip = Vcosts.page_flip_fixed + (2 * arch.Arch.pt_update_cost) in
       {
-        c_free = netback_work + Vcosts.evtchn_send;
+        c_free = Vmk_vmm.Smp_vmm.netback_work + Vcosts.evtchn_send;
         c_locked = Vcosts.grant_check + flip;
         c_irq = arch.Arch.irq_entry_cost + Vcosts.irq_route;
       }
@@ -86,7 +82,9 @@ let costs_of ~stack (arch : Arch.profile) =
       (* driver + IPC + map on the shard's own core; only the mapdb
          update is under the shared lock. *)
       {
-        c_free = driver_work + Ucosts.ipc_path + arch.Arch.page_map_cost;
+        c_free =
+          Vmk_ukernel.Smp_cluster.driver_work + Ucosts.ipc_path
+          + arch.Arch.page_map_cost;
         c_locked = 2 * arch.Arch.pt_update_cost;
         c_irq = arch.Arch.irq_entry_cost + Ucosts.irq_to_ipc;
       }
@@ -148,7 +146,7 @@ type cell = {
   l_lock_contended : int;
   l_lock_spin : int64;
   l_clean : bool; (* run went Idle (drained), not Rounds *)
-  l_fp : int; (* bit-for-bit replay fingerprint *)
+  l_digest : string; (* bit-for-bit replay digest *)
 }
 
 type shard = {
@@ -422,23 +420,18 @@ let run_cell ~stack ~mode ~sched ?(seed = 220L) ?(pkt_gap = 400)
     shards;
   let delivered = Array.fold_left (fun a s -> a + s.sh_delivered) 0 shards in
   let wall = Machine.now mach in
-  let fp =
-    Hashtbl.hash
+  let digest =
+    Machine.digest mach
       [
-        Int64.to_int wall;
-        !injected;
-        delivered;
-        !fair_shed;
-        !tb_shed;
-        !drops;
-        !timely_pkts;
-        !flows_done;
-        !flows_timely;
-        Sketch.fingerprint pkt;
-        Sketch.fingerprint flow;
-        Hashtbl.hash (Counter.to_list mach.Machine.counters);
-        Hashtbl.hash (Accounts.to_list mach.Machine.accounts);
-        Scenario.fingerprint sched;
+        Printf.sprintf "packets injected %d delivered %d timely %d" !injected
+          delivered !timely_pkts;
+        Printf.sprintf "shed fair %d bucket %d drops %d" !fair_shed !tb_shed
+          !drops;
+        Printf.sprintf "flows done %d timely %d failed %d" !flows_done
+          !flows_timely !flows_failed;
+        Printf.sprintf "sketch pkt %d peak %d flow %d" (Sketch.fingerprint pkt)
+          (Sketch.fingerprint peak) (Sketch.fingerprint flow);
+        Printf.sprintf "schedule %d" (Scenario.fingerprint sched);
       ]
   in
   {
@@ -464,7 +457,7 @@ let run_cell ~stack ~mode ~sched ?(seed = 220L) ?(pkt_gap = 400)
     l_lock_contended = Smp.lock_contended lock;
     l_lock_spin = Smp.lock_spin_cycles lock;
     l_clean = (match stop with Smp.Rounds -> false | _ -> true);
-    l_fp = fp;
+    l_digest = digest;
   }
 
 (* --- scenario builders --- *)
@@ -756,7 +749,8 @@ let run ~quick =
         [ 0; 1 ])
     [ ("fifo", f_fifo); ("weighted", f_fair) ];
   (* Phase 4: bit-for-bit replay — regenerate the schedule and rerun one
-     cell per stack from the same seeds; every fingerprint must match. *)
+     cell per stack from the same seeds; the schedule fingerprint and
+     both cell digests must match. *)
   let day2 = day_sched ~quick () in
   let vmm_naive2 =
     run_cell ~stack:Vmm ~mode:Naive ~sched:day2 ~pkt_gap:day_gap ~budget ()
@@ -766,21 +760,23 @@ let run ~quick =
   in
   let replay_ok =
     Scenario.fingerprint day = Scenario.fingerprint day2
-    && vmm_naive.l_fp = vmm_naive2.l_fp
-    && uk_pol.l_fp = uk_pol2.l_fp
+    && vmm_naive.l_digest = vmm_naive2.l_digest
+    && uk_pol.l_digest = uk_pol2.l_digest
   in
   let replay_table =
     Table.create ~header:[ "object"; "run 1"; "run 2"; "equal" ] in
+  let hex8 fp = Printf.sprintf "%08x" (fp land 0xFFFFFFFF) in
   List.iter
     (fun (label, a, b) ->
       Table.add_row replay_table
-        [ label; Printf.sprintf "%08x" (a land 0xFFFFFFFF);
-          Printf.sprintf "%08x" (b land 0xFFFFFFFF);
+        [ label; String.sub a 0 8; String.sub b 0 8;
           (if a = b then "yes" else "NO") ])
     [
-      ("schedule", Scenario.fingerprint day, Scenario.fingerprint day2);
-      ("vmm/naive day", vmm_naive.l_fp, vmm_naive2.l_fp);
-      ("uk/policied day", uk_pol.l_fp, uk_pol2.l_fp);
+      ( "schedule",
+        hex8 (Scenario.fingerprint day),
+        hex8 (Scenario.fingerprint day2) );
+      ("vmm/naive day", vmm_naive.l_digest, vmm_naive2.l_digest);
+      ("uk/policied day", uk_pol.l_digest, uk_pol2.l_digest);
     ];
   (* --- verdicts --- *)
   let flows_floor = if quick then 15_000 else 1_000_000 in

@@ -13,6 +13,14 @@ module Port_l4 = Vmk_guest.Port_l4
 module Net_server = Vmk_ukernel.Net_server
 module Blk_server = Vmk_ukernel.Blk_server
 module Traffic = Vmk_workloads.Traffic
+module Apps = Vmk_workloads.Apps
+module Summary = Vmk_stats.Summary
+module Rng = Vmk_sim.Rng
+module Sysif = Vmk_ukernel.Sysif
+module Svc = Vmk_ukernel.Svc
+module Watchdog = Vmk_ukernel.Watchdog
+module Smp_cluster = Vmk_ukernel.Smp_cluster
+module Smp_vmm = Vmk_vmm.Smp_vmm
 
 type outcome = {
   cycles : int64;
@@ -131,3 +139,282 @@ let run_l4 ?arch ?seed ?(net = true) ?(blk = true) ?traffic ~app () =
   ignore (Kernel.run k ~until:(fun () -> !completed));
   ignore (Kernel.run k ~max_dispatches:100_000);
   outcome_of mach ~completed:!completed
+
+(* --- the SMP I/O storm (E14, E16-E18) --- *)
+
+type smp_layout = Smp_uk of Smp_cluster.placement | Smp_vmm of Smp_vmm.backend
+
+type smp_storm = {
+  delivered : int;
+  wall : int64;
+  mach : Machine.t;
+  contended : int;
+  spin : int64;
+}
+
+let run_smp ~seed ?(coalesce = 1) layout ~cores ~packets =
+  match layout with
+  | Smp_uk placement ->
+      let cfg =
+        {
+          (Smp_cluster.default ~placement ~cores ()) with
+          Smp_cluster.packets;
+          coalesce;
+        }
+      in
+      let r = Smp_cluster.run ~seed cfg in
+      {
+        delivered = r.Smp_cluster.completed;
+        wall = r.Smp_cluster.wall;
+        mach = r.Smp_cluster.mach;
+        contended = r.Smp_cluster.mapdb_contended;
+        spin = r.Smp_cluster.mapdb_spin;
+      }
+  | Smp_vmm backend ->
+      let cfg =
+        { (Smp_vmm.default ~backend ~cores ()) with Smp_vmm.packets; coalesce }
+      in
+      let r = Smp_vmm.run ~seed cfg in
+      {
+        delivered = r.Smp_vmm.completed;
+        wall = r.Smp_vmm.wall;
+        mach = r.Smp_vmm.mach;
+        contended = r.Smp_vmm.gnt_contended;
+        spin = r.Smp_vmm.gnt_spin;
+      }
+
+let throughput r =
+  if Int64.compare r.wall 0L <= 0 then 0.0
+  else float_of_int r.delivered *. 1e6 /. Int64.to_float r.wall
+
+let smp_label = function
+  | Smp_uk Smp_cluster.Colocated -> "uk/colocated"
+  | Smp_uk Smp_cluster.Pinned -> "uk/pinned"
+  | Smp_vmm Smp_vmm.Single_dom0 -> "vmm/single-dom0"
+  | Smp_vmm Smp_vmm.Driver_domains -> "vmm/driver-domains"
+  | Smp_vmm (Smp_vmm.Fixed_domains n) -> Printf.sprintf "vmm/%d-domain-fleet" n
+
+let smp_digest r =
+  Machine.digest r.mach
+    [
+      Printf.sprintf "delivered %d" r.delivered;
+      Printf.sprintf "lock %d %Ld" r.contended r.spin;
+    ]
+
+let arrival_lines arrivals =
+  List.map
+    (fun (tag, at) -> Printf.sprintf "arrival %d %Ld" tag at)
+    (List.sort compare arrivals)
+
+(* --- the single-guest receive storm (E15, E16) --- *)
+
+type rx_storm = {
+  injected : int;
+  received : int;
+  timely : int;
+  offered : float;
+  goodput : float;
+  p99 : float;
+  digest : string;
+}
+
+let rx_latency_budget = 1_000_000L
+
+(* The shared half of both rigs: the probe app records every arrival,
+   the constant-rate source every injection, and the run is reduced to
+   timely goodput over the offered window. Polling-only drivers never
+   drain the event engine (the poll timer re-arms forever), so such runs
+   stop on a deterministic deadline — offered window plus slack for
+   boot, handshake and every timely delivery — instead of the usual
+   run-until-done + settle phase. *)
+let rx_drive mach ~gate ~period ~count ~polling
+    ~(run : ?until:(unit -> bool) -> ?max_dispatches:int -> unit -> unit)
+    spawn_app =
+  let window = Int64.mul period (Int64.of_int count) in
+  let completed = ref false in
+  let inject_times = Hashtbl.create 256 in
+  let arrivals = ref [] in
+  spawn_app (fun () ->
+      Apps.net_rx_probe
+        ~now:(fun () -> Machine.now mach)
+        ~record:(fun ~tag ~at -> arrivals := (tag, at) :: !arrivals)
+        ~packets:count () ();
+      completed := true);
+  let source =
+    Traffic.constant_rate mach ~gate ~period ~len:512 ~count
+      ~on_inject:(fun ~tag ~at -> Hashtbl.replace inject_times tag at)
+      ()
+  in
+  if polling then begin
+    let deadline = Int64.add window 6_000_000L in
+    run ~until:(fun () ->
+        !completed || Int64.compare (Machine.now mach) deadline >= 0) ()
+  end
+  else begin
+    run ~until:(fun () -> !completed) ();
+    run ~max_dispatches:100_000 ()
+  end;
+  let injected = Traffic.injected source and arrivals = !arrivals in
+  let latencies =
+    List.rev_map
+      (fun (tag, at) ->
+        match Hashtbl.find_opt inject_times tag with
+        | Some t0 -> Int64.sub at t0
+        | None -> Int64.max_int)
+      arrivals
+  in
+  let timely =
+    List.length
+      (List.filter (fun l -> Int64.compare l rx_latency_budget <= 0) latencies)
+  in
+  let s = Summary.create () in
+  List.iter (Summary.add_int64 s) latencies;
+  {
+    injected;
+    received = List.length arrivals;
+    timely;
+    offered = float_of_int injected *. 1e6 /. Int64.to_float window;
+    goodput = float_of_int timely *. 1e6 /. Int64.to_float window;
+    p99 = Summary.percentile s 99.0;
+    digest =
+      Machine.digest mach
+        (Printf.sprintf "injected %d" injected :: arrival_lines arrivals);
+  }
+
+(* Dom0 runs at double the guest's scheduler weight: under load the
+   backend wins the CPU and starves the guest that must consume the
+   packets (the centralized-backend livelock configuration). The
+   guest's 2M-cycle I/O timeout ends the app once traffic stops. *)
+let rx_storm_xen ?mitigation ?net_admit ?net_napi ?net_poll ~period ~count ()
+    =
+  let mach = Machine.create ~seed:41L () in
+  Option.iter (Nic.set_mitigation mach.Machine.nic) mitigation;
+  let h = Hypervisor.create mach in
+  let chan = Net_channel.create ~mode:Net_channel.Flip ~demux_key:1 () in
+  let dom0 =
+    Hypervisor.create_domain h ~name:Dom0.name ~privileged:true ~weight:512
+      (fun () -> Dom0.body mach ?net_admit ?net_napi ?net_poll ~net:[ chan ] ())
+  in
+  let ready = ref false in
+  let rx =
+    rx_drive mach
+      ~gate:(fun () -> !ready)
+      ~period ~count ~polling:(Option.is_some net_poll)
+      ~run:(fun ?until ?max_dispatches () ->
+        ignore (Hypervisor.run ?until ?max_dispatches h))
+      (fun app ->
+        ignore
+          (Hypervisor.create_domain h ~name:"guest1"
+             (Port_xen.guest_body mach ~net:(chan, dom0) ~io_timeout:2_000_000L
+                ~on_ready:(fun () -> ready := true)
+                ~app)))
+  in
+  (mach, rx)
+
+(* Injection gates on the net server having posted its first receive
+   buffers; NIC-level drops after that point are wire loss and count
+   against the run. *)
+let rx_storm_l4 ?mitigation ?admit ?rx_capacity ?retry_attempts ?napi ?poll
+    ~period ~count () =
+  let mach = Machine.create ~seed:42L () in
+  Option.iter (Nic.set_mitigation mach.Machine.nic) mitigation;
+  let k = Kernel.create mach in
+  let net_tid =
+    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
+      (fun () -> Net_server.body mach ?admit ?rx_capacity ?napi ?poll ())
+  in
+  let retry =
+    Option.map
+      (fun attempts ->
+        Port_l4.retry ~mach ~attempts ~timeout:1_000_000L
+          (Rng.split mach.Machine.rng))
+      retry_attempts
+  in
+  let gk =
+    Kernel.spawn k ~name:"guest-kernel" ~priority:3 ~account:Port_l4.gk_account
+      (Port_l4.guest_kernel_body ?retry ~net:(Some net_tid) ~blk:None)
+  in
+  let up = ref false in
+  let gate () =
+    if not !up then up := Nic.rx_buffers_posted mach.Machine.nic > 0;
+    !up
+  in
+  let rx =
+    rx_drive mach ~gate ~period ~count ~polling:(Option.is_some poll)
+      ~run:(fun ?until ?max_dispatches () ->
+        ignore (Kernel.run ?until ?max_dispatches k))
+      (fun app ->
+        ignore
+          (Kernel.spawn k ~name:"app" ~priority:4 ~account:"app"
+             (Port_l4.app_body mach ~gk app)))
+  in
+  (mach, rx)
+
+let rx_efficiency r =
+  if r.injected = 0 then 0.0 else float_of_int r.timely /. float_of_int r.injected
+
+(* Knee probe at common absolute rates: each rung offers load for the
+   same 30k x [base]-cycle window, and the knee is the offered rate of
+   the first rung whose timely efficiency falls below 0.9. *)
+let rx_probe ~base ~periods run =
+  let window = Int64.mul 30_000L (Int64.of_int base) in
+  List.map
+    (fun period -> run ~period ~count:(Int64.to_int (Int64.div window period)))
+    periods
+
+let rx_knee runs =
+  match List.find_opt (fun r -> rx_efficiency r < 0.9) runs with
+  | Some r -> r.offered
+  | None -> infinity
+
+(* --- supervised driver stacks (E13, E18) --- *)
+
+let supervision_period = 1_000_000L
+
+type l4_supervised = {
+  blk_svc : Svc.entry;
+  net_svc : Svc.entry;
+  watchdog : Watchdog.t;
+}
+
+let l4_supervised mach k =
+  let spec name body () =
+    { Sysif.name; priority = 2; same_space = false; pager = None; body }
+  in
+  let blk_body () = Blk_server.body mach () in
+  let net_body () = Net_server.body mach () in
+  let blk_tid =
+    Kernel.spawn k ~name:"blk-server" ~priority:2 ~account:Blk_server.account
+      blk_body
+  in
+  let net_tid =
+    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
+      net_body
+  in
+  let blk_svc = Svc.entry ~name:"blk" blk_tid in
+  let net_svc = Svc.entry ~name:"net" net_tid in
+  let watchdog = Watchdog.create () in
+  ignore
+    (Kernel.spawn k ~name:"watchdog" ~priority:1 ~account:"watchdog"
+       (Watchdog.body mach watchdog ~period:supervision_period
+          ~ping_timeout:200_000L
+          [
+            (blk_svc, spec "blk-server" blk_body);
+            (net_svc, spec "net-server" net_body);
+          ]));
+  { blk_svc; net_svc; watchdog }
+
+let l4_retry mach =
+  Port_l4.retry ~mach ~attempts:8 ~timeout:1_000_000L ~base_delay:100_000L
+    (Rng.split mach.Machine.rng)
+
+let dom0_supervised mach h ~net ~blk =
+  let make ~restart () =
+    Dom0.body mach ~connect_timeout:10_000_000L ~generation:restart ~net ~blk ()
+  in
+  let dom0 =
+    Hypervisor.create_domain h ~name:Dom0.name ~privileged:true (make ~restart:0)
+  in
+  ( dom0,
+    Hypervisor.supervise h ~name:Dom0.name ~privileged:true
+      ~period:supervision_period ~make_body:make dom0 )

@@ -61,3 +61,142 @@ val run_l4 :
   outcome
 (** Microkernel + user-level driver servers + guest-kernel server + one
     application thread ({!Vmk_guest.Port_l4}). *)
+
+(** {1 The SMP I/O storm}
+
+    The E14 storm on the 8-guest SMP models, one layout per run. Every
+    experiment that drives {!Vmk_ukernel.Smp_cluster} or
+    {!Vmk_vmm.Smp_vmm} goes through {!run_smp}. *)
+
+type smp_layout =
+  | Smp_uk of Vmk_ukernel.Smp_cluster.placement
+  | Smp_vmm of Vmk_vmm.Smp_vmm.backend
+
+type smp_storm = {
+  delivered : int;  (** Packets fully consumed by finished guests. *)
+  wall : int64;  (** Virtual time when the stack went idle. *)
+  mach : Vmk_hw.Machine.t;  (** For counters and per-CPU accounts. *)
+  contended : int;  (** Contended acquisitions of the shared lock. *)
+  spin : int64;  (** Cycles spun on the shared lock. *)
+}
+
+val run_smp :
+  seed:int64 ->
+  ?coalesce:int ->
+  smp_layout ->
+  cores:int ->
+  packets:int ->
+  smp_storm
+(** The model's default workload with [packets] packets on [cores]
+    vCPUs; [coalesce] is the E16 interrupt-mitigation factor (default 1,
+    no mitigation). Deterministic per seed. *)
+
+val throughput : smp_storm -> float
+(** Packets per million cycles of virtual wall time. *)
+
+val smp_label : smp_layout -> string
+(** ["uk/colocated"], ["vmm/single-dom0"], ["vmm/3-domain-fleet"], ... *)
+
+val smp_digest : smp_storm -> string
+(** {!Vmk_hw.Machine.digest} of the run plus its delivered count and
+    lock statistics. *)
+
+val arrival_lines : (int * int64) list -> string list
+(** [(tag, virtual time)] arrivals in canonical (sorted) order, one
+    digest line each. *)
+
+(** {1 The single-guest receive storm}
+
+    One guest runs {!Vmk_workloads.Apps.net_rx_probe} while a
+    constant-rate source offers [count] packets of 512 bytes, one every
+    [period] cycles, through the stack's net driver (E15, E16). Each rig
+    returns the finished machine beside the summary. *)
+
+type rx_storm = {
+  injected : int;
+  received : int;
+  timely : int;  (** Received within {!rx_latency_budget} of injection. *)
+  offered : float;  (** Injected packets per Mcycle of the offered window. *)
+  goodput : float;  (** Timely packets per Mcycle of the offered window. *)
+  p99 : float;  (** p99 delivery latency in cycles, over received packets. *)
+  digest : string;
+      (** {!Vmk_hw.Machine.digest} of the run plus its injected count and
+          every arrival. *)
+}
+
+val rx_latency_budget : int64
+(** 1M cycles: a later delivery does not count as goodput. *)
+
+val rx_storm_xen :
+  ?mitigation:int64 ->
+  ?net_admit:Vmk_overload.Overload.Token_bucket.t ->
+  ?net_napi:int ->
+  ?net_poll:int64 ->
+  period:int64 ->
+  count:int ->
+  unit ->
+  Vmk_hw.Machine.t * rx_storm
+(** Dom0 (at double the guest's weight) serving one paravirtualized
+    guest. [mitigation] opens a NIC hold-off window; the other options
+    are passed to {!Vmk_vmm.Dom0.body}. A polling-only ([net_poll]) run
+    stops on a deadline instead of draining. *)
+
+val rx_storm_l4 :
+  ?mitigation:int64 ->
+  ?admit:Vmk_overload.Overload.Token_bucket.t ->
+  ?rx_capacity:int ->
+  ?retry_attempts:int ->
+  ?napi:int ->
+  ?poll:int64 ->
+  period:int64 ->
+  count:int ->
+  unit ->
+  Vmk_hw.Machine.t * rx_storm
+(** Net server, guest kernel and app thread. [retry_attempts] gives the
+    guest kernel a busy-retry policy with a 1M-cycle timeout; the other
+    options are passed to {!Vmk_ukernel.Net_server.body}. A polling-only
+    ([poll]) run stops on a deadline instead of draining. *)
+
+val rx_efficiency : rx_storm -> float
+(** Timely packets over injected packets. *)
+
+val rx_probe :
+  base:int ->
+  periods:int64 list ->
+  (period:int64 -> count:int -> rx_storm) ->
+  rx_storm list
+(** One run per period, each offering load for the same window of
+    [30_000 * base] cycles. *)
+
+val rx_knee : rx_storm list -> float
+(** Offered rate of the first run whose {!rx_efficiency} falls below
+    0.9; [infinity] if none does. *)
+
+(** {1 Supervised driver stacks} *)
+
+val supervision_period : int64
+(** 1M cycles between watchdog / supervisor liveness polls. *)
+
+type l4_supervised = {
+  blk_svc : Vmk_ukernel.Svc.entry;
+  net_svc : Vmk_ukernel.Svc.entry;
+  watchdog : Vmk_ukernel.Watchdog.t;
+}
+
+val l4_supervised : Vmk_hw.Machine.t -> Vmk_ukernel.Kernel.t -> l4_supervised
+(** Spawn the block and net servers, register them as ["blk"] and
+    ["net"], and spawn a watchdog (200k-cycle ping timeout) that
+    respawns either. Clients reach the servers through the entries. *)
+
+val l4_retry : Vmk_hw.Machine.t -> Vmk_guest.Port_l4.retry
+(** The client retry policy that rides out a respawn: 8 attempts, 1M
+    timeout, 100k base backoff, on a fresh split of the machine rng. *)
+
+val dom0_supervised :
+  Vmk_hw.Machine.t ->
+  Vmk_vmm.Hypervisor.t ->
+  net:Vmk_vmm.Net_channel.t list ->
+  blk:Vmk_vmm.Blk_channel.t list ->
+  Vmk_vmm.Hcall.domid * Vmk_vmm.Hypervisor.supervisor
+(** Dom0 serving the channels under a supervisor that rebuilds it with
+    the next generation (reconnect handshake, 10M connect timeout). *)

@@ -84,3 +84,24 @@ let start_timer t ~period =
 
 let stop_timer t = t.timer_on := false
 let timer_running t = !(t.timer_on)
+
+let digest t state =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "clock %Ld\n" (now t);
+  List.iter
+    (fun (k, v) -> Printf.bprintf b "counter %s %d\n" k v)
+    (Vmk_trace.Counter.to_list t.counters);
+  List.iter
+    (fun (k, v) -> Printf.bprintf b "account %s %Ld\n" k v)
+    (Vmk_trace.Accounts.to_list t.accounts);
+  for cpu = 0 to Vmk_trace.Accounts.cpus_seen t.accounts - 1 do
+    List.iter
+      (fun (k, v) -> Printf.bprintf b "cpu%d %s %Ld\n" cpu k v)
+      (Vmk_trace.Accounts.to_cpu_list t.accounts ~cpu)
+  done;
+  List.iter
+    (fun line ->
+      Buffer.add_string b line;
+      Buffer.add_char b '\n')
+    state;
+  Digest.to_hex (Digest.string (Buffer.contents b))

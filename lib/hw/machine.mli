@@ -69,3 +69,12 @@ val start_timer : t -> period:int64 -> unit
 
 val stop_timer : t -> unit
 val timer_running : t -> bool
+
+val digest : t -> string list -> string
+(** [digest t state] is the replay digest of a finished run: the hex MD5
+    of a canonical dump of the final clock, every counter and every
+    account sorted by name, every per-CPU account bucket, then the
+    caller's run [state] (arrivals, op logs, sketch fingerprints...),
+    one line per element in the given order. Executor bookkeeping such
+    as the engine's idle and burst jumps is left out. Two runs replay
+    bit-for-bit when their digests are equal. *)

@@ -424,12 +424,3 @@ let note_batch_hist counters (h : batch_hist) n =
     let rec log2 b k = if b * 2 <= n then log2 (b * 2) (k + 1) else k in
     Counter.incr_id counters h.(log2 1 0)
   end
-
-let note_batch counters n =
-  if n > 0 then begin
-    (* Power-of-two buckets: 1, 2, 4, ... — a poll-batch size histogram
-       cheap enough to live on the hot path. *)
-    let rec bucket b = if b * 2 <= n then bucket (b * 2) else b in
-    let key = mitig_batch_hist_prefix ^ string_of_int (bucket 1) in
-    Counter.incr counters key
-  end

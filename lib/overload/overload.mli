@@ -232,11 +232,6 @@ val note_queue_peak_id : Vmk_trace.Counter.set -> int -> int -> unit
 (** [note_queue_peak_id counters id depth] — allocation-free form of
     {!note_queue_peak} over a pre-resolved id. *)
 
-val note_batch : Vmk_trace.Counter.set -> int -> unit
-(** Record one poll batch of the given size under
-    [mitig.batch_hist.<2^k>] where [2^k] is the largest power of two not
-    exceeding the size. Sizes [< 1] are ignored. *)
-
 type batch_hist
 (** Pre-interned [mitig.batch_hist.*] bucket ids for one counter set. *)
 
@@ -244,4 +239,7 @@ val batch_hist : Vmk_trace.Counter.set -> batch_hist
 (** Intern every power-of-two bucket once at wiring time. *)
 
 val note_batch_hist : Vmk_trace.Counter.set -> batch_hist -> int -> unit
-(** Allocation-free form of {!note_batch} over pre-resolved ids. *)
+(** Record one poll batch of the given size under
+    [mitig.batch_hist.<2^k>] where [2^k] is the largest power of two not
+    exceeding the size; an array store, no allocation. Sizes [< 1] are
+    ignored. *)

@@ -41,6 +41,11 @@ type result = {
   mapdb_spin : int64;
 }
 
+val driver_work : int
+(** Per-packet net-server driver work (cycles) beyond the
+    {!Costs}-priced IPC and mapping steps — also the net-server recipe of
+    E22's fabric. *)
+
 val default : ?placement:placement -> cores:int -> unit -> config
 (** The E14 workload: 8 guests, 640 packets of 512 bytes arriving every
     400 cycles, 2600 cycles of app work each. *)

@@ -68,8 +68,9 @@ type t = {
   fair : Overload.Weighted_buckets.t option;
       (** Per-sender fair-share gate, keyed on the vnet source decoded
           from the packet tag; [None] skips it. *)
-  napi : int option;
-      (** NAPI poll budget; [None] keeps the interrupt-per-packet path. *)
+  napi : (int * Overload.batch_hist) option;
+      (** NAPI poll budget and the batch-size histogram it feeds; [None]
+          keeps the interrupt-per-packet path. *)
   attach_nic : bool;
       (** Bridge backends ([false]) keep their pool frames instead of
           posting them to the unused physical NIC. *)
@@ -151,7 +152,11 @@ let connect_opt ?timeout ?(generation = 0) ?admit ?fair ?napi
                   nic_target = nic_buffers;
                   admit;
                   fair;
-                  napi;
+                  napi =
+                    Option.map
+                      (fun budget ->
+                        (budget, Overload.batch_hist mach.Machine.counters))
+                      napi;
                   attach_nic;
                   tx_handler = None;
                   rx_delivered = 0;
@@ -451,7 +456,7 @@ let rec drain_tx_done t =
    event-channel notify (the [flush]); the line is acknowledged and
    re-enabled only when a round comes back empty, with a post-unmask
    recheck closing the poll/unmask race. *)
-let napi_service t ~budget =
+let napi_service t ~budget ~hist =
   let mach = t.mach in
   let nic = mach.Machine.nic in
   let line = Nic.irq_line nic in
@@ -474,7 +479,7 @@ let napi_service t ~budget =
     | evs ->
         Hcall.burn mach.Machine.arch.Arch.poll_batch_cost;
         Counter.incr_id counters t.ids.id_mitig_poll_rounds;
-        Overload.note_batch counters (List.length evs);
+        Overload.note_batch_hist counters hist (List.length evs);
         deliver_batch t evs;
         drain_tx_done t;
         flush t;
@@ -484,7 +489,7 @@ let napi_service t ~budget =
 
 let handle_nic t =
   match t.napi with
-  | Some budget -> napi_service t ~budget
+  | Some (budget, hist) -> napi_service t ~budget ~hist
   | None ->
       pump_frontend_posts t;
       let rec drain_rx () =

@@ -45,6 +45,10 @@ type result = {
   gnt_spin : int64;
 }
 
+val netback_work : int
+(** Per-packet backend driver work (cycles) beyond the {!Costs}-priced
+    grant and flip steps — also the Dom0 recipe of E22's fabric. *)
+
 val default : ?backend:backend -> cores:int -> unit -> config
 (** The E14 workload: 8 guests, 640 packets of 512 bytes arriving every
     400 cycles, 2600 cycles of app work each. *)

@@ -366,6 +366,35 @@ let test_machine_burn_charges_account () =
   check_i64 "charged" 500L (Vmk_trace.Accounts.balance m.Machine.accounts "guest");
   check_i64 "clock moved" 500L (Machine.now m)
 
+(* The replay digest must see every counter, every account and every
+   per-CPU bucket. E22's old fingerprint was [Hashtbl.hash] over a
+   14-element list, which reads only the first ten elements: changing
+   element 10 left it unchanged. *)
+let test_machine_digest_covers_state () =
+  let module Counter = Vmk_trace.Counter in
+  let module Accounts = Vmk_trace.Accounts in
+  let run ?(last = 0) ?(account = 0) ?(cpu = 0) ?(state = []) () =
+    let m = Machine.create ~cpus:2 ~seed:3L () in
+    Counter.add m.Machine.counters "a.first" 5;
+    Counter.add m.Machine.counters "zz.last" (1 + last);
+    Accounts.charge_on m.Machine.accounts ~cpu "dom0" 700L;
+    Accounts.charge m.Machine.accounts "guest" (Int64.of_int (100 + account));
+    Machine.burn m 1_000;
+    Machine.digest m state
+  in
+  let base = run () in
+  check_bool "same run, same digest" true (base = run ());
+  check_bool "last-sorting counter" false (base = run ~last:1 ());
+  check_bool "one account" false (base = run ~account:1 ());
+  check_bool "one per-CPU bucket, same totals" false (base = run ~cpu:1 ());
+  let old = List.init 14 (fun i -> 1_000 + i) in
+  let bumped = List.mapi (fun i v -> if i = 10 then v + 1 else v) old in
+  check_bool "Hashtbl.hash misses element 10" true
+    (Hashtbl.hash old = Hashtbl.hash bumped);
+  let lines l = List.map string_of_int l in
+  check_bool "digest sees element 10" false
+    (run ~state:(lines old) () = run ~state:(lines bumped) ())
+
 let test_machine_timer_ticks () =
   let m = Machine.create () in
   Machine.start_timer m ~period:1000L;
@@ -532,6 +561,8 @@ let suite =
     Alcotest.test_case "machine: burn charges account" `Quick
       test_machine_burn_charges_account;
     Alcotest.test_case "machine: timer" `Quick test_machine_timer_ticks;
+    Alcotest.test_case "machine: replay digest covers all state" `Quick
+      test_machine_digest_covers_state;
     Alcotest.test_case "mmu: hit free, miss charges" `Quick
       test_mmu_translate_hit_is_free_miss_charges;
     Alcotest.test_case "mmu: permission faults" `Quick test_mmu_faults;

@@ -150,7 +150,8 @@ let test_token_bucket_admit_n () =
 
 let test_note_batch_histogram () =
   let c = Counter.create_set () in
-  List.iter (Overload.note_batch c) [ 0; 1; 2; 3; 4; 7; 8; 9 ];
+  let h = Overload.batch_hist c in
+  List.iter (Overload.note_batch_hist c h) [ 0; 1; 2; 3; 4; 7; 8; 9 ];
   let bucket n = Counter.get c (Overload.mitig_batch_hist_prefix ^ n) in
   check_int "bucket 1" 1 (bucket "1");
   check_int "bucket 2 takes 2..3" 2 (bucket "2");
@@ -253,7 +254,7 @@ let test_e16_replay () =
   let same stack mode =
     let r1 = Exp_e16.run_one stack mode ~base:12 (4, 1) in
     let r2 = Exp_e16.run_one stack mode ~base:12 (4, 1) in
-    Exp_e16.received r1 > 0 && Exp_e16.fp r1 = Exp_e16.fp r2
+    Exp_e16.received r1 > 0 && Exp_e16.digest r1 = Exp_e16.digest r2
   in
   check_bool "vmm hybrid replay is bit-for-bit" true
     (same Exp_e16.Vmm Exp_e16.Hybrid);

@@ -177,19 +177,12 @@ let test_e14_same_seed_identical () =
   let module E = Vmk_core.Exp_e14 in
   List.iter
     (fun kind ->
-      let fingerprint () =
-        let r = E.run_case ~kind ~cores:4 ~packets:96 in
-        let m = r.E.mach in
-        ( r.E.wall,
-          r.E.completed,
-          Counter.to_list m.Machine.counters,
-          Accounts.to_list m.Machine.accounts,
-          List.init (Machine.ncpus m) (fun i ->
-              Accounts.to_cpu_list m.Machine.accounts ~cpu:i) )
+      let digest () =
+        Vmk_core.Scenario.smp_digest (E.run_case kind ~cores:4 ~packets:96)
       in
-      let a = fingerprint () and b = fingerprint () in
+      let a = digest () and b = digest () in
       Alcotest.(check bool) "bit-for-bit identical" true (a = b))
-    [ E.Uk_colocated; E.Uk_pinned; E.Vmm_dom0; E.Vmm_drivers ]
+    E.kinds
 
 (* --- E21: tickless equivalence --- *)
 
@@ -263,11 +256,14 @@ let prop_tickless_equivalence =
 
 let test_e14_shapes () =
   let module E = Vmk_core.Exp_e14 in
-  let tput kind cores = E.throughput (E.run_case ~kind ~cores ~packets:240) in
+  let module S = Vmk_core.Scenario in
+  let tput kind cores = S.throughput (E.run_case kind ~cores ~packets:240) in
+  let dom0 = S.Smp_vmm Vmk_vmm.Smp_vmm.Single_dom0 in
+  let colocated = S.Smp_uk Vmk_ukernel.Smp_cluster.Colocated in
   Alcotest.(check bool) "single-dom0 plateaus 4->8" true
-    (tput E.Vmm_dom0 8 /. tput E.Vmm_dom0 4 < 1.25);
+    (tput dom0 8 /. tput dom0 4 < 1.25);
   Alcotest.(check bool) "colocated microkernel scales 1->8" true
-    (tput E.Uk_colocated 8 /. tput E.Uk_colocated 1 > 4.0)
+    (tput colocated 8 /. tput colocated 1 > 4.0)
 
 let suite =
   [

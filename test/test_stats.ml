@@ -1,4 +1,4 @@
-(* Tests for summaries, regression, histograms and table rendering. *)
+(* Tests for summaries, regression, quantile sketches and table rendering. *)
 
 open Vmk_stats
 
@@ -130,40 +130,6 @@ let prop_regression_residuals_sum_zero =
           0.0 points
       in
       abs_float residual_sum < 1e-6 *. float_of_int (List.length points))
-
-(* --- Histogram --- *)
-
-let test_histogram_bucketing () =
-  let h = Histogram.create ~buckets:10 ~lo:0.0 ~hi:100.0 () in
-  Histogram.add h 5.0;
-  Histogram.add h 15.0;
-  Histogram.add h 15.5;
-  Histogram.add h 99.9;
-  check_int "bucket 0" 1 (Histogram.bucket_value h 0);
-  check_int "bucket 1" 2 (Histogram.bucket_value h 1);
-  check_int "bucket 9" 1 (Histogram.bucket_value h 9);
-  check_int "count" 4 (Histogram.count h)
-
-let test_histogram_under_overflow () =
-  let h = Histogram.create ~buckets:4 ~lo:0.0 ~hi:10.0 () in
-  Histogram.add h (-1.0);
-  Histogram.add h 10.0;
-  Histogram.add h 25.0;
-  check_int "underflow" 1 (Histogram.underflow h);
-  check_int "overflow" 2 (Histogram.overflow h)
-
-let test_histogram_mode () =
-  let h = Histogram.create ~buckets:5 ~lo:0.0 ~hi:50.0 () in
-  List.iter (Histogram.add h) [ 12.0; 13.0; 14.0; 42.0 ];
-  match Histogram.mode h with
-  | Some (lo, hi) ->
-      check_floatish "mode lo" 10.0 lo;
-      check_floatish "mode hi" 20.0 hi
-  | None -> Alcotest.fail "expected a mode"
-
-let test_histogram_rejects_bad_bounds () =
-  Alcotest.check_raises "hi <= lo" (Invalid_argument "Histogram.create: hi <= lo")
-    (fun () -> ignore (Histogram.create ~lo:1.0 ~hi:1.0 ()))
 
 (* --- Table --- *)
 
@@ -322,12 +288,6 @@ let suite =
       test_regression_noisy_r2_below_one;
     Alcotest.test_case "regression: pearson signs" `Quick test_pearson_signs;
     QCheck_alcotest.to_alcotest prop_regression_residuals_sum_zero;
-    Alcotest.test_case "histogram: bucketing" `Quick test_histogram_bucketing;
-    Alcotest.test_case "histogram: under/overflow" `Quick
-      test_histogram_under_overflow;
-    Alcotest.test_case "histogram: mode" `Quick test_histogram_mode;
-    Alcotest.test_case "histogram: bad bounds" `Quick
-      test_histogram_rejects_bad_bounds;
     Alcotest.test_case "table: renders" `Quick test_table_renders_aligned;
     Alcotest.test_case "table: padding and limits" `Quick
       test_table_pads_short_rows;

@@ -201,13 +201,13 @@ let test_replay_vmm () =
   let a = E17.pairwise ~stack:E17.Vmm ~guests:2 ~count:6 in
   let b = E17.pairwise ~stack:E17.Vmm ~guests:2 ~count:6 in
   check_int "all delivered" 6 (E17.received a);
-  check_bool "bit-for-bit" true (E17.fp a = E17.fp b)
+  check_bool "bit-for-bit" true (E17.digest a = E17.digest b)
 
 let test_replay_uk () =
   let a = E17.pairwise ~stack:E17.Uk ~guests:2 ~count:6 in
   let b = E17.pairwise ~stack:E17.Uk ~guests:2 ~count:6 in
   check_int "all delivered" 6 (E17.received a);
-  check_bool "bit-for-bit" true (E17.fp a = E17.fp b)
+  check_bool "bit-for-bit" true (E17.digest a = E17.digest b)
 
 let suite =
   [
