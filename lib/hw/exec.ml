@@ -1,0 +1,47 @@
+module Engine = Vmk_sim.Engine
+
+type stop_reason = Idle | Condition | Dispatch_limit
+
+let timeslice = 5_000
+
+let run mach ~irqs ~pick ~dispatch ?until ?(max_dispatches = 10_000_000) k =
+  let eng = mach.Machine.engine in
+  let rec loop dispatches =
+    if (match until with Some f -> f () | None -> false) then Condition
+    else begin
+      irqs k;
+      match pick k with
+      | Some th ->
+          if dispatches >= max_dispatches then Dispatch_limit
+          else begin
+            dispatch k th;
+            loop (dispatches + 1)
+          end
+      | None -> if Engine.idle_to_next eng then loop dispatches else Idle
+    end
+  in
+  let reason = loop 0 in
+  Vmk_trace.Accounts.switch_to mach.Machine.accounts "idle";
+  reason
+
+let slice mach ~sole k th left =
+  let step =
+    if left < 2 * timeslice then min timeslice left
+    else begin
+      let whole = left - (left mod timeslice) in
+      let eng = mach.Machine.engine in
+      let fits =
+        Int64.compare
+          (Int64.add (Engine.now eng) (Int64.of_int whole))
+          (Engine.next_due_or eng Int64.max_int)
+        <= 0
+      in
+      if fits && sole k th && not (Irq.any_pending mach.Machine.irq) then begin
+        Engine.note_burst eng (Int64.of_int (whole - timeslice));
+        whole
+      end
+      else timeslice
+    end
+  in
+  Machine.burn mach step;
+  step

@@ -33,6 +33,7 @@ val next_pending : t -> int option
     the last one acknowledged, without acknowledging it. *)
 
 val any_pending : t -> bool
+(** Some unmasked line is pending: {!next_pending} would return a line. *)
 
 val ack : t -> int -> unit
 (** Clear the pending latch for line [n] (start of service). *)

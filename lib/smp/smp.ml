@@ -91,7 +91,6 @@ type hot_ids = {
 type t = {
   mach : Machine.t;
   ids : hot_ids;
-  quantum : int;
   cores : core array;
   tbl : (tid, thread) Hashtbl.t;
   mutable next_tid : int;
@@ -101,8 +100,11 @@ type t = {
 
 type stop_reason = Idle | Condition | Rounds
 
-let create ?(quantum = 1000) mach =
-  if quantum < 1 then invalid_arg "Smp.create: quantum must be positive";
+(* Interleaving granularity: each scheduling round runs every core, in
+   core-id order, for this much global virtual time. *)
+let quantum = 1000
+
+let create mach =
   let cores =
     Array.init (Machine.ncpus mach) (fun i ->
         {
@@ -125,7 +127,6 @@ let create ?(quantum = 1000) mach =
         id_shootdown_pages = Counter.id c "smp.shootdown.pages";
         id_shootdown_acks = Counter.id c "smp.shootdown.acks";
       };
-    quantum;
     cores;
     tbl = Hashtbl.create 32;
     next_tid = 1;
@@ -347,7 +348,7 @@ let dispatch t core th =
     | None -> park_recv th core.hw.Cpu.now
   end
   else if th.burn_left > 0 then begin
-    let step = min th.burn_left t.quantum in
+    let step = min th.burn_left quantum in
     Machine.burn_on t.mach ~cpu:core.hw step;
     th.burn_left <- th.burn_left - step;
     if th.st = Running then begin
@@ -426,19 +427,24 @@ let run_core t core ~round_start =
   loop ();
   !did
 
+(* [rounds] per-round credit refills at once: [min cap (credit + w)]
+   applied [rounds] times is [min cap (credit + rounds * w)]. *)
+let rec refill_threads rounds = function
+  | [] -> ()
+  | th :: rest ->
+      if th.st <> Done then
+        th.credit <-
+          min (credit_cap th.weight) (th.credit + (rounds * th.weight));
+      refill_threads rounds rest
+
+let refill t rounds =
+  for c = 0 to Array.length t.cores - 1 do
+    refill_threads rounds t.cores.(c).threads
+  done
+
 let run ?until ?(max_rounds = 2_000_000) ?(tickless = true) t =
   let eng = t.mach.Machine.engine in
   let stop () = match until with Some f -> f () | None -> false in
-  let refill () =
-    Array.iter
-      (fun core ->
-        List.iter
-          (fun th ->
-            if th.st <> Done then
-              th.credit <- min (credit_cap th.weight) (th.credit + th.weight))
-          core.threads)
-      t.cores
-  in
   (* Earliest finite wake-up among parked-but-scheduled threads, for
      skipping dead quanta. A thread cannot run before its own core's
      local clock either — a core that overshot the round (long atomic
@@ -467,14 +473,14 @@ let run ?until ?(max_rounds = 2_000_000) ?(tickless = true) t =
     else if rounds >= max_rounds then Rounds
     else begin
       let round_start = Engine.now eng in
-      t.round_end <- Int64.add round_start (Int64.of_int t.quantum);
-      refill ();
+      t.round_end <- Int64.add round_start (Int64.of_int quantum);
+      refill t 1;
       let did = ref false in
       Array.iter
         (fun core -> if run_core t core ~round_start then did := true)
         t.cores;
       if !did then begin
-        Engine.burn eng (Int64.of_int t.quantum);
+        Engine.burn eng (Int64.of_int quantum);
         loop (rounds + 1)
       end
       else
@@ -491,19 +497,22 @@ let run ?until ?(max_rounds = 2_000_000) ?(tickless = true) t =
             let delta = Int64.sub tgt (Engine.now eng) in
             (* Always at least one cycle so the loop can never stall on a
                stale target. With [tickless] off the gap is crossed in
-               quantum-sized hops that stop exactly at the target — same
-               clock at every dispatch, just more rounds. The test
-               suite's equivalence property leans on this. *)
+               quantum-sized hops that stop exactly at the target, each
+               starting a round that refills every credit. The jump
+               skips the [(delta - 1) / quantum] hops before the last,
+               so it pays their refills in one go. The test suite's
+               equivalence property leans on this. *)
             let delta = if Int64.compare delta 1L > 0 then delta else 1L in
+            let q = Int64.of_int quantum in
             let step =
               if tickless then begin
-                if Int64.compare delta (Int64.of_int t.quantum) > 0 then
-                  Engine.note_idle eng
-                    (Int64.sub delta (Int64.of_int t.quantum));
+                if Int64.compare delta q > 0 then begin
+                  Engine.note_idle eng (Int64.sub delta q);
+                  refill t (Int64.to_int (Int64.div (Int64.sub delta 1L) q))
+                end;
                 delta
               end
-              else if Int64.compare delta (Int64.of_int t.quantum) > 0 then
-                Int64.of_int t.quantum
+              else if Int64.compare delta q > 0 then q
               else delta
             in
             Engine.burn eng step;

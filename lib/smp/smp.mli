@@ -35,12 +35,10 @@ type stop_reason =
   | Condition  (** The [until] predicate returned true. *)
   | Rounds  (** [max_rounds] exhausted. *)
 
-val create : ?quantum:int -> Vmk_hw.Machine.t -> t
-(** Executor over [machine]'s vCPU bank. [quantum] (default 1000
-    cycles) is the interleaving granularity: each scheduling round runs
-    every core, in core-id order, for one quantum of global time.
-
-    @raise Invalid_argument if [quantum < 1]. *)
+val create : Vmk_hw.Machine.t -> t
+(** Executor over [machine]'s vCPU bank. Each scheduling round runs
+    every core, in core-id order, for one 1,000-cycle quantum of global
+    time. *)
 
 val machine : t -> Vmk_hw.Machine.t
 val ncpus : t -> int
@@ -68,10 +66,12 @@ val run :
     core is blocked are skipped straight to the next engine event or
     message visibility, so idle virtual time costs no host time and is
     charged to no account. [~tickless:false] crosses those same gaps in
-    quantum-sized hops that stop exactly at the target instead — every
-    dispatch sees the identical clock, it just costs more rounds; the
-    test suite uses it as the reference for the tickless-equivalence
-    property (E21). *)
+    quantum-sized hops that stop exactly at the target instead, and
+    each hop starts a round that refills every thread's credit; the
+    jump applies the refills of the hops it skips in one step, so both
+    dispatch the same threads at the same clocks and the stepped run
+    just costs more rounds. The test suite uses it as the reference
+    for the tickless-equivalence property (E21). *)
 
 (** {1 Thread operations} — valid only inside a {!spawn} body. *)
 

@@ -10,6 +10,7 @@ module Cache = Vmk_hw.Cache
 module Accounts = Vmk_trace.Accounts
 module Counter = Vmk_trace.Counter
 module Engine = Vmk_sim.Engine
+module Exec = Vmk_hw.Exec
 module Cap = Vmk_cap.Cap
 
 let priorities = 8
@@ -93,7 +94,7 @@ type t = {
   mutable current_asid : int;
 }
 
-type stop_reason = Idle | Condition | Dispatch_limit
+type stop_reason = Exec.stop_reason = Idle | Condition | Dispatch_limit
 
 let machine t = t.mach
 let mapdb t = t.mapdb
@@ -1044,19 +1045,8 @@ let pick k =
   in
   scan 0
 
-(* Timer-tick quantum for user computation. *)
-let timeslice = 5_000
-
-(* Tickless burn fast-forward (E21): a long user burn is normally sliced
-   into [timeslice] quanta so timer IRQs and co-runnable threads can
-   preempt. When this thread is the only runnable one, no unmasked IRQ
-   is pending, and the next armed engine event lies beyond a whole
-   number of slices, executing those slices one by one is pure busywork:
-   every intermediate dispatch picks the same thread again. Burn the
-   whole multiple in one [Machine.burn] instead. Only whole multiples of
-   [timeslice] are fast-forwarded — the remainder takes the normal
-   sliced path — so burn arithmetic, account charges and dispatch-side
-   effects accumulate exactly as under slicing (bit-for-bit). *)
+(* For the tickless burst rule ([Exec.slice]): could any other thread
+   take the core mid-burst? *)
 let sole_runnable k (tcb : tcb) =
   let sole = ref true in
   Hashtbl.iter
@@ -1064,33 +1054,6 @@ let sole_runnable k (tcb : tcb) =
       if o != tcb && o.state = Ready && not o.paused then sole := false)
     k.tcbs;
   !sole
-
-let no_irq_pending k =
-  let irq = k.mach.Machine.irq in
-  let pending = ref false in
-  for line = 0 to Irq.lines irq - 1 do
-    if Irq.is_pending irq line && not (Irq.is_masked irq line) then
-      pending := true
-  done;
-  not !pending
-
-let burst_quantum k (tcb : tcb) =
-  if tcb.burn_left < 2 * timeslice then min timeslice tcb.burn_left
-  else begin
-    let whole = tcb.burn_left - (tcb.burn_left mod timeslice) in
-    let fits =
-      Int64.compare
-        (Int64.add (Machine.now k.mach) (Int64.of_int whole))
-        (Engine.next_due_or k.mach.Machine.engine Int64.max_int)
-      <= 0
-    in
-    if fits && sole_runnable k tcb && no_irq_pending k then begin
-      Engine.note_burst k.mach.Machine.engine
-        (Int64.of_int (whole - timeslice));
-      whole
-    end
-    else min timeslice tcb.burn_left
-  end
 
 let dispatch k (tcb : tcb) =
   if tcb.asid <> k.current_asid then begin
@@ -1108,8 +1071,7 @@ let dispatch k (tcb : tcb) =
   tcb.state <- Running;
   Accounts.switch_to k.mach.Machine.accounts tcb.account;
   if tcb.burn_left > 0 then begin
-    let step = burst_quantum k tcb in
-    Machine.burn k.mach step;
+    let step = Exec.slice k.mach ~sole:sole_runnable k tcb tcb.burn_left in
     tcb.burn_left <- tcb.burn_left - step;
     if tcb.state = Running then begin
       tcb.state <- Ready;
@@ -1131,27 +1093,5 @@ let dispatch k (tcb : tcb) =
              bookkeeping bug. *)
           terminate k tcb)
 
-let run ?until ?(max_dispatches = 10_000_000) k =
-  let dispatches = ref 0 in
-  let stop_requested () =
-    match until with Some f -> f () | None -> false
-  in
-  let rec loop () =
-    if stop_requested () then Condition
-    else begin
-      deliver_irqs k;
-      match pick k with
-      | Some tcb ->
-          if !dispatches >= max_dispatches then Dispatch_limit
-          else begin
-            incr dispatches;
-            dispatch k tcb;
-            loop ()
-          end
-      | None ->
-          if Engine.idle_to_next k.mach.Machine.engine then loop () else Idle
-    end
-  in
-  let reason = loop () in
-  Accounts.switch_to k.mach.Machine.accounts "idle";
-  reason
+let run ?until ?max_dispatches k =
+  Exec.run k.mach ~irqs:deliver_irqs ~pick ~dispatch ?until ?max_dispatches k

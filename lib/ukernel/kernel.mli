@@ -44,10 +44,8 @@ val spawn :
 
     @raise Invalid_argument on an out-of-range priority. *)
 
-type stop_reason =
-  | Idle  (** No runnable thread and no pending device event. *)
-  | Condition  (** The [until] predicate became true. *)
-  | Dispatch_limit  (** Safety limit hit — usually a livelock bug. *)
+type stop_reason = Vmk_hw.Exec.stop_reason = Idle | Condition | Dispatch_limit
+(** See {!Vmk_hw.Exec.stop_reason}. *)
 
 val run :
   ?until:(unit -> bool) -> ?max_dispatches:int -> t -> stop_reason

@@ -3,7 +3,7 @@ module Arch = Vmk_hw.Arch
 module Tlb = Vmk_hw.Tlb
 module Accounts = Vmk_trace.Accounts
 module Counter = Vmk_trace.Counter
-module Engine = Vmk_sim.Engine
+module Exec = Vmk_hw.Exec
 
 module Mif = struct
   type mport = int
@@ -106,7 +106,7 @@ type t = {
   mutable current_asid : int;
 }
 
-type stop_reason = Idle | Condition | Dispatch_limit
+type stop_reason = Exec.stop_reason = Idle | Condition | Dispatch_limit
 
 let kernel_account = "machk"
 
@@ -296,7 +296,14 @@ let start_fiber t (tcb : tcb) body =
           | _ -> None);
     }
 
-let timeslice = 5_000
+(* For the tickless burst rule ([Exec.slice]): could any other thread
+   take the core mid-burst? *)
+let sole_runnable t (tcb : tcb) =
+  let sole = ref true in
+  Hashtbl.iter
+    (fun _ (o : tcb) -> if o != tcb && o.state = Ready then sole := false)
+    t.tcbs;
+  !sole
 
 let dispatch t (tcb : tcb) =
   if tcb.asid <> t.current_asid then begin
@@ -308,8 +315,7 @@ let dispatch t (tcb : tcb) =
   tcb.state <- Running;
   Accounts.switch_to t.mach.Machine.accounts tcb.account;
   if tcb.burn_left > 0 then begin
-    let step = min timeslice tcb.burn_left in
-    Machine.burn t.mach step;
+    let step = Exec.slice t.mach ~sole:sole_runnable t tcb tcb.burn_left in
     tcb.burn_left <- tcb.burn_left - step;
     if tcb.state = Running then begin
       tcb.state <- Ready;
@@ -334,23 +340,5 @@ let rec pick t =
   | Some tcb when tcb.state = Ready -> Some tcb
   | Some _ -> pick t
 
-let run ?until ?(max_dispatches = 10_000_000) t =
-  let dispatches = ref 0 in
-  let stop_requested () = match until with Some f -> f () | None -> false in
-  let rec loop () =
-    if stop_requested () then Condition
-    else
-      match pick t with
-      | Some tcb ->
-          if !dispatches >= max_dispatches then Dispatch_limit
-          else begin
-            incr dispatches;
-            dispatch t tcb;
-            loop ()
-          end
-      | None ->
-          if Engine.idle_to_next t.mach.Machine.engine then loop () else Idle
-  in
-  let reason = loop () in
-  Accounts.switch_to t.mach.Machine.accounts "idle";
-  reason
+let run ?until ?max_dispatches t =
+  Exec.run t.mach ~irqs:ignore ~pick ~dispatch ?until ?max_dispatches t

@@ -62,7 +62,7 @@ val spawn : t -> name:string -> ?account:string -> (unit -> unit) -> int
     message also pays the address-space switch, as cross-task Mach IPC
     did. *)
 
-type stop_reason = Idle | Condition | Dispatch_limit
+type stop_reason = Vmk_hw.Exec.stop_reason = Idle | Condition | Dispatch_limit
 
 val run : ?until:(unit -> bool) -> ?max_dispatches:int -> t -> stop_reason
 val thread_count : t -> int

@@ -12,6 +12,7 @@ module Segments = Vmk_hw.Segments
 module Accounts = Vmk_trace.Accounts
 module Counter = Vmk_trace.Counter
 module Engine = Vmk_sim.Engine
+module Exec = Vmk_hw.Exec
 module Cap = Vmk_cap.Cap
 
 let vmm_account = "vmm"
@@ -124,7 +125,7 @@ type t = {
   mutable cap_ctx : cap_ctx;
 }
 
-type stop_reason = Idle | Condition | Dispatch_limit
+type stop_reason = Exec.stop_reason = Idle | Condition | Dispatch_limit
 
 let machine t = t.mach
 
@@ -784,7 +785,7 @@ let handle_hypercall h (d : domain) call =
       (* Killed mid-burn by fault injection: abandoned at the next trap. *)
       ()
   | H_burn n ->
-      (* Sliced across dispatches: see [timeslice]. *)
+      (* Sliced across dispatches: see [Exec.slice]. *)
       d.burn_left <- max 0 n;
       ready h d R_unit
   | H_dom_id ->
@@ -1170,19 +1171,8 @@ let charge_pass h d ~cycles =
   let stride = Int64.div stride_numerator (Int64.of_int d.weight) in
   d.pass <- Int64.add d.pass (Int64.mul stride units)
 
-(* Timer-tick quantum: a compute burst longer than this is preempted and
-   the domain re-enters the runnable set. *)
-let timeslice = 5_000
-
-(* Tickless fast-forward (E21): when the burning domain is the only
-   runnable one, no unmasked interrupt is pending and no engine event
-   falls due inside the burst, slicing it into quanta is pure overhead
-   — every intermediate dispatch would pick the same domain again. In
-   that case the whole whole-quantum part of the burst is consumed in
-   one step. Only multiples of [timeslice] are fast-forwarded so the
-   stride-scheduler pass arithmetic (one unit per 1k cycles, computed
-   per dispatch) accumulates exactly as the sliced execution would —
-   the bit-for-bit replay guard depends on it. *)
+(* For the tickless burst rule ([Exec.slice]): could any other domain
+   take the core mid-burst? *)
 let sole_runnable h (d : domain) =
   let sole = ref true in
   Hashtbl.iter
@@ -1190,33 +1180,6 @@ let sole_runnable h (d : domain) =
       if o != d && o.state = Ready && not o.paused then sole := false)
     h.domains;
   !sole
-
-let no_irq_pending h =
-  let irq = h.mach.Machine.irq in
-  let clear = ref true in
-  for line = 0 to Irq.lines irq - 1 do
-    if Irq.is_pending irq line && not (Irq.is_masked irq line) then
-      clear := false
-  done;
-  !clear
-
-let burst_quantum h (d : domain) =
-  if d.burn_left < 2 * timeslice then min timeslice d.burn_left
-  else begin
-    let whole = d.burn_left - (d.burn_left mod timeslice) in
-    let fits =
-      Int64.compare
-        (Int64.add (Machine.now h.mach) (Int64.of_int whole))
-        (Engine.next_due_or h.mach.Machine.engine Int64.max_int)
-      <= 0
-    in
-    if fits && sole_runnable h d && no_irq_pending h then begin
-      Engine.note_burst h.mach.Machine.engine
-        (Int64.of_int (whole - timeslice));
-      whole
-    end
-    else min timeslice d.burn_left
-  end
 
 let dispatch h (d : domain) =
   let t0 = Machine.now h.mach in
@@ -1233,8 +1196,7 @@ let dispatch h (d : domain) =
   d.state <- Running;
   Accounts.switch_to h.mach.Machine.accounts d.name;
   (if d.burn_left > 0 then begin
-     let step = burst_quantum h d in
-     Machine.burn h.mach step;
+     let step = Exec.slice h.mach ~sole:sole_runnable h d d.burn_left in
      d.burn_left <- d.burn_left - step;
      if d.state = Running then
        (* Still alive (fault injection may have killed it mid-burn). *)
@@ -1253,27 +1215,5 @@ let dispatch h (d : domain) =
          | None -> kill_domain_internal h d));
   charge_pass h d ~cycles:(Int64.sub (Machine.now h.mach) t0)
 
-let run ?until ?(max_dispatches = 10_000_000) h =
-  let dispatches = ref 0 in
-  let stop_requested () =
-    match until with Some f -> f () | None -> false
-  in
-  let rec loop () =
-    if stop_requested () then Condition
-    else begin
-      route_irqs h;
-      match pick h with
-      | Some d ->
-          if !dispatches >= max_dispatches then Dispatch_limit
-          else begin
-            incr dispatches;
-            dispatch h d;
-            loop ()
-          end
-      | None ->
-          if Engine.idle_to_next h.mach.Machine.engine then loop () else Idle
-    end
-  in
-  let reason = loop () in
-  Accounts.switch_to h.mach.Machine.accounts "idle";
-  reason
+let run ?until ?max_dispatches h =
+  Exec.run h.mach ~irqs:route_irqs ~pick ~dispatch ?until ?max_dispatches h

@@ -67,7 +67,7 @@ val create_domain :
 
     @raise Invalid_argument if [weight < 1]. *)
 
-type stop_reason = Idle | Condition | Dispatch_limit
+type stop_reason = Vmk_hw.Exec.stop_reason = Idle | Condition | Dispatch_limit
 
 val run : ?until:(unit -> bool) -> ?max_dispatches:int -> t -> stop_reason
 

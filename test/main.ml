@@ -8,6 +8,7 @@ let () =
       ("ukernel", Test_ukernel.suite);
       ("mach", Test_mach.suite);
       ("vmm", Test_vmm.suite);
+      ("exec", Test_exec.suite);
       ("guest", Test_guest.suite);
       ("workloads", Test_workloads.suite);
       ("faults", Test_faults.suite);

@@ -223,7 +223,11 @@ let run_random_workload ~tickless ~cpus ~ops =
                     ~dst:tids.(dst mod nthreads)
                     ~tag:((i * 10_000) + amount)
                     ~cycles:(50 + amount)
-              | 2 -> trace := (i, Smp.recv ()) :: !trace
+              | 2 ->
+                  (* Bind first: [!trace] must be read after the fiber
+                     resumes, or receipts logged meanwhile are lost. *)
+                  let tag = Smp.recv () in
+                  trace := (i, tag) :: !trace
               | _ -> Smp.yield ())
             script)
   done;
@@ -254,6 +258,22 @@ let prop_tickless_equivalence =
       run_random_workload ~tickless:true ~cpus ~ops
       = run_random_workload ~tickless:false ~cpus ~ops)
 
+(* A shrunk case with an idle gap of several quanta: unless the jump
+   pays the credit refills of the quanta it skips, the scheduler picks
+   differently and thread 1's third receive is 10428 tickless against
+   718 stepped. *)
+let test_tickless_pays_skipped_refills () =
+  let ops =
+    [ (2, 0, 394); (2, 4, 27); (2, 6, 469); (0, 1, 656); (2, 0, 208);
+      (0, 2, 509); (2, 5, 289); (1, 7, 428); (3, 4, 508); (3, 2, 467);
+      (3, 2, 549); (1, 6, 420); (1, 7, 809); (2, 1, 497); (0, 2, 488);
+      (1, 7, 718); (1, 6, 638); (0, 7, 830); (3, 7, 735); (0, 5, 508);
+      (0, 6, 184); (3, 0, 314); (0, 2, 708); (2, 6, 413); (1, 4, 707) ]
+  in
+  Alcotest.(check bool) "tickless = stepped" true
+    (run_random_workload ~tickless:true ~cpus:2 ~ops
+    = run_random_workload ~tickless:false ~cpus:2 ~ops)
+
 let test_e14_shapes () =
   let module E = Vmk_core.Exp_e14 in
   let module S = Vmk_core.Scenario in
@@ -282,4 +302,6 @@ let suite =
       test_e14_same_seed_identical;
     Alcotest.test_case "e14 scaling shapes" `Quick test_e14_shapes;
     QCheck_alcotest.to_alcotest prop_tickless_equivalence;
+    Alcotest.test_case "tickless pays skipped credit refills" `Quick
+      test_tickless_pays_skipped_refills;
   ]
