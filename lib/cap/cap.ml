@@ -330,11 +330,6 @@ let depth t ~dom ~handle =
 let count t =
   Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.tables 0
 
-let dom_count t ~dom =
-  match Hashtbl.find_opt t.tables dom with
-  | Some tbl -> Hashtbl.length tbl
-  | None -> 0
-
 let handles t ~dom =
   match Hashtbl.find_opt t.tables dom with
   | None -> []

@@ -179,7 +179,5 @@ val depth : t -> dom:int -> handle:handle -> int option
 val count : t -> int
 (** Live capabilities across all domains. *)
 
-val dom_count : t -> dom:int -> int
-
 val handles : t -> dom:int -> handle list
 (** Sorted ascending. *)

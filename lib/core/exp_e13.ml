@@ -52,10 +52,13 @@ type metrics = {
   recovery_latency : int64 option;
       (** First successful op after the kill, minus the kill time. *)
   finished : bool;
+  digest : string;
 }
 
-let metrics_of ~stack ~rate ~counters ~retries_key ~gaveup_key ~recoveries ~log
+(* The replay digest covers the machine, the outcome and the op log. *)
+let metrics_of mach ~stack ~rate ~retries_key ~gaveup_key ~recoveries ~log
     ~finished (stats : Apps.stats) =
+  let counters = mach.Machine.counters in
   let chronological = List.rev log in
   let recovery_latency =
     if rate = 0 then None
@@ -75,6 +78,12 @@ let metrics_of ~stack ~rate ~counters ~retries_key ~gaveup_key ~recoveries ~log
     recoveries;
     recovery_latency;
     finished;
+    digest =
+      Machine.digest mach
+        (Printf.sprintf "%s rate %d ops %d/%d recoveries %d %b" stack rate
+           stats.Apps.completed stats.Apps.errors recoveries finished
+        :: List.map (fun (t, ok) -> Printf.sprintf "op %Ld %b" t ok)
+             chronological);
   }
 
 (* --- microkernel stack: watchdog respawn + client retry --- *)
@@ -116,7 +125,7 @@ let l4_run ~quick ~rate =
   Watchdog.stop sv.watchdog;
   ignore (Kernel.run k);
   Faults.disarm armed mach;
-  metrics_of ~stack:"L4" ~rate ~counters:mach.Machine.counters
+  metrics_of mach ~stack:"L4" ~rate
     ~retries_key:"l4.retries" ~gaveup_key:"l4.gaveup"
     ~recoveries:(List.length (Watchdog.respawns sv.watchdog))
     ~log:!log ~finished:!finished stats
@@ -156,7 +165,7 @@ let vmm_run ~quick ~rate =
   Hypervisor.stop_supervisor sup;
   ignore (Hypervisor.run h);
   Faults.disarm armed mach;
-  metrics_of ~stack:"VMM" ~rate ~counters:mach.Machine.counters
+  metrics_of mach ~stack:"VMM" ~rate
     ~retries_key:"xen.retries" ~gaveup_key:"xen.gaveup"
     ~recoveries:(List.length (Hypervisor.restarts sup))
     ~log:!log ~finished:!finished stats
@@ -211,10 +220,7 @@ let run ~quick =
   let vmm = List.map (fun rate -> vmm_run ~quick ~rate) rates in
   let l4_again = l4_run ~quick ~rate:15 in
   let l4_first = List.nth l4 1 in
-  let deterministic =
-    l4_first = l4_again
-    (* Full structural equality: every count, latency and log entry. *)
-  in
+  let deterministic = l4_first.digest = l4_again.digest in
   let baseline_ok m = m.completed = ops && m.lost = 0 && m.finished in
   let recovered m =
     m.finished && m.recoveries >= 1

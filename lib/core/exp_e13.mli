@@ -17,6 +17,9 @@ type metrics = {
   recoveries : int;
   recovery_latency : int64 option;
   finished : bool;
+  digest : string;
+      (** {!Vmk_hw.Machine.digest} of the run plus its outcome and the
+          client's op log: equal digests are bit-for-bit replay. *)
 }
 
 val run_one : stack:[ `L4 | `Vmm ] -> rate:int -> quick:bool -> metrics

@@ -30,28 +30,19 @@ module Table = Vmk_stats.Table
 module Machine = Vmk_hw.Machine
 module Counter = Vmk_trace.Counter
 module Accounts = Vmk_trace.Accounts
-module Rng = Vmk_sim.Rng
 module Overload = Vmk_overload.Overload
 module Vnet = Vmk_vnet.Vnet
-module Kernel = Vmk_ukernel.Kernel
 module Net_server = Vmk_ukernel.Net_server
 module Cluster = Vmk_ukernel.Smp_cluster
-module Hypervisor = Vmk_vmm.Hypervisor
-module Net_channel = Vmk_vmm.Net_channel
 module Bridge = Vmk_vmm.Bridge
 module Svmm = Vmk_vmm.Smp_vmm
-module Port_xen = Vmk_guest.Port_xen
-module Port_l4 = Vmk_guest.Port_l4
 module Sys = Vmk_guest.Sys
 
 type stack = Vmm | Uk
 
 let stack_label = function Vmm -> "vmm" | Uk -> "uk"
 let guest_counts = [ 2; 4; 8 ]
-let packet_len = 512
 let sender_pace = 8_000
-let io_timeout = 20_000_000L
-let settle = 50_000
 
 type run = {
   sent : int;
@@ -81,7 +72,9 @@ let per_src_of arrivals =
     arrivals;
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let summarize stack mach ~sent ~arrivals =
+let summarize stack (f : Scenario.fabric) =
+  let mach = f.fab_mach and sent = f.fab_tx.completed in
+  let arrivals = f.fab_arrivals in
   let c = mach.Machine.counters and a = mach.Machine.accounts in
   let received = List.length arrivals in
   (* The fabric's bill: what the packet's *intermediaries* cost — the
@@ -137,54 +130,28 @@ let summarize stack mach ~sent ~arrivals =
         (Printf.sprintf "sent %d" sent :: Scenario.arrival_lines arrivals);
   }
 
-(* --- portable application bodies (identical on both stacks) --- *)
-
-let sender ~sent ~src ~dst ~count ~pace () =
-  Sys.burn settle;
-  for seq = 0 to count - 1 do
-    (try
-       Sys.net_send ~len:packet_len ~tag:(Sys.vnet_tag ~src ~dst ~seq);
-       incr sent
-     with Sys.Sys_error _ -> ());
-    if pace > 0 then Sys.burn pace
-  done;
-  (* Exiting with transmits still queued would strand them. *)
-  try Sys.net_drain () with Sys.Sys_error _ -> ()
-
-let receiver mach ~record ~packets ~work () =
-  try
-    for _ = 1 to packets do
-      let _len, tag = Sys.net_recv () in
-      record ~tag ~at:(Machine.now mach);
-      if work > 0 then Sys.burn work
-    done
-  with Sys.Sys_error _ -> ()
-
 (* All-to-all: [rounds] rounds, one packet sent and one received per
    guest per round. The destination rotates through the odd cyclic
    shifts, so every round's send pattern is a permutation (each guest
    receives exactly one packet) that always crosses parity classes —
    even ports send first, odd ports receive first, so on the L4 stack a
    call-blocked sender always finds a receptive peer down the chain. *)
-let all_to_all mach ~sent ~record ~port ~guests ~rounds ~pace () =
+let all_to_all (f : Scenario.fabric) ~port ~guests ~rounds ~pace () =
   let shifts =
     List.filter (fun s -> s mod 2 = 1) (List.init (guests - 1) (fun i -> i + 1))
   in
   let nshifts = List.length shifts in
-  Sys.burn settle;
+  let tx = f.fab_tx in
+  let recv = Scenario.fabric_receiver f ~packets:1 ~work:0 in
+  Sys.burn Scenario.fabric_settle;
   for r = 0 to rounds - 1 do
     let s = List.nth shifts (r mod nshifts) in
     let dst = (((port - 1) + s) mod guests) + 1 in
     let send () =
       try
-        Sys.net_send ~len:packet_len ~tag:(Sys.vnet_tag ~src:port ~dst ~seq:r);
-        incr sent
-      with Sys.Sys_error _ -> ()
-    in
-    let recv () =
-      try
-        let _len, tag = Sys.net_recv () in
-        record ~tag ~at:(Machine.now mach)
+        Sys.net_send ~len:Scenario.fabric_packet_len
+          ~tag:(Sys.vnet_tag ~src:port ~dst ~seq:r);
+        tx.completed <- tx.completed + 1
       with Sys.Sys_error _ -> ()
     in
     if port mod 2 = 0 then begin
@@ -199,115 +166,28 @@ let all_to_all mach ~sent ~record ~port ~guests ~rounds ~pace () =
   done;
   try Sys.net_drain () with Sys.Sys_error _ -> ()
 
-(* --- the Xen-style realization: bridge domain + N paravirt guests --- *)
-
-let xen_fabric ~guests ?mark_at ?port_capacity ?mk_fair ~mk_apps () =
-  let mach = Machine.create ~seed:41L () in
-  let h = Hypervisor.create mach in
-  let fair = Option.map (fun mk -> mk mach) mk_fair in
-  let chans =
-    List.init guests (fun i ->
-        Net_channel.create ~mode:Net_channel.Flip ~demux_key:(i + 1) ())
-  in
-  let bridge =
-    Hypervisor.create_domain h ~name:Bridge.name ~privileged:true ~weight:512
-      (fun () -> Bridge.body mach ?mark_at ?port_capacity ?fair ~net:chans ())
-  in
-  let arrivals = ref [] in
-  let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
-  let sent = ref 0 in
-  let pending = ref 0 in
-  let apps = mk_apps ~mach ~record ~sent in
-  pending := List.length apps;
-  List.iteri
-    (fun i (port, body) ->
-      assert (port = i + 1);
-      let chan = List.nth chans i in
-      ignore
-        (Hypervisor.create_domain h
-           ~name:(Printf.sprintf "guest%d" port)
-           (Port_xen.guest_body mach ~net:(chan, bridge) ~io_timeout
-              ~app:(fun () ->
-                body ();
-                decr pending))))
-    apps;
-  ignore (Hypervisor.run h ~until:(fun () -> !pending = 0));
-  ignore (Hypervisor.run h ~max_dispatches:100_000);
-  summarize Vmm mach ~sent:!sent ~arrivals:!arrivals
-
-(* --- the L4-style realization: broker + N (guest kernel, app) --- *)
-
-let uk_fabric ~guests ?mark_at ~mk_apps () =
-  let mach = Machine.create ~seed:42L () in
-  let k = Kernel.create mach in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ~vnet:true ())
-  in
-  let gks =
-    List.init guests (fun i ->
-        let port = i + 1 in
-        let v = Port_l4.vnet ~mach ~port ?mark_at () in
-        let rtry = Port_l4.retry ~mach (Rng.split mach.Machine.rng) in
-        Kernel.spawn k
-          ~name:(Printf.sprintf "gk%d" port)
-          ~priority:3 ~account:Port_l4.gk_account
-          (Port_l4.guest_kernel_body ~retry:rtry ~vnet:v ~net:(Some net_tid)
-             ~blk:None))
-  in
-  (* Barrier: every guest kernel registered with the broker before any
-     application transmits, so no destination resolves unknown (and
-     lands in the negative cache) during boot. *)
-  ignore
-    (Kernel.run k ~until:(fun () ->
-         Counter.get mach.Machine.counters "drv.net.vnet_attach" >= guests));
-  let arrivals = ref [] in
-  let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
-  let sent = ref 0 in
-  let pending = ref 0 in
-  let apps = mk_apps ~mach ~record ~sent in
-  pending := List.length apps;
-  List.iteri
-    (fun i (port, body) ->
-      assert (port = i + 1);
-      let gk = List.nth gks i in
-      ignore
-        (Kernel.spawn k
-           ~name:(Printf.sprintf "app%d" port)
-           ~priority:4 ~account:"app"
-           (Port_l4.app_body mach ~gk (fun () ->
-                body ();
-                decr pending))))
-    apps;
-  ignore (Kernel.run k ~until:(fun () -> !pending = 0));
-  ignore (Kernel.run k ~max_dispatches:100_000);
-  summarize Uk mach ~sent:!sent ~arrivals:!arrivals
+let fabric ~stack ~guests ?mark_at apps =
+  match stack with
+  | Vmm -> summarize Vmm (Scenario.fabric_xen ~guests ?mark_at ~apps ())
+  | Uk ->
+      summarize Uk
+        (Scenario.fabric_l4 ~guests ?mark_at ~apps:(fun f _ -> apps f) ())
 
 (* --- traffic plans --- *)
 
 let pairwise ~stack ~guests ~count =
-  let mk_apps ~mach ~record ~sent =
-    List.init guests (fun i ->
-        let port = i + 1 in
-        if port mod 2 = 1 then
-          (port, sender ~sent ~src:port ~dst:(port + 1) ~count ~pace:sender_pace)
-        else (port, receiver mach ~record ~packets:count ~work:0))
-  in
-  match stack with
-  | Vmm -> xen_fabric ~guests ~mk_apps ()
-  | Uk -> uk_fabric ~guests ~mk_apps ()
+  fabric ~stack ~guests (fun f ->
+      List.init guests (fun i ->
+          let port = i + 1 in
+          if port mod 2 = 1 then
+            Scenario.fabric_sender f ~src:port ~dst:(port + 1) ~count
+              ~pace:sender_pace
+          else Scenario.fabric_receiver f ~packets:count ~work:0))
 
 let all2all ~stack ~guests ~rounds =
-  let mk_apps ~mach ~record ~sent =
-    List.init guests (fun i ->
-        let port = i + 1 in
-        ( port,
-          all_to_all mach ~sent ~record ~port ~guests ~rounds ~pace:sender_pace
-        ))
-  in
-  match stack with
-  | Vmm -> xen_fabric ~guests ~mk_apps ()
-  | Uk -> uk_fabric ~guests ~mk_apps ()
+  fabric ~stack ~guests (fun f ->
+      List.init guests (fun i ->
+          all_to_all f ~port:(i + 1) ~guests ~rounds ~pace:sender_pace))
 
 (* --- satellite scenarios --- *)
 
@@ -329,17 +209,18 @@ let fairness ~count ~fair =
     Overload.Weighted_buckets.set_weight f ~key:2 8;
     f
   in
-  let mk_apps ~mach ~record ~sent =
+  let apps f =
     [
-      (1, sender ~sent ~src:1 ~dst:3 ~count:aggressor_count ~pace:1_500);
-      (2, sender ~sent ~src:2 ~dst:3 ~count ~pace:50_000);
-      ( 3,
-        receiver mach ~record ~packets:(aggressor_count + count)
-          ~work:recv_work );
+      Scenario.fabric_sender f ~src:1 ~dst:3 ~count:aggressor_count ~pace:1_500;
+      Scenario.fabric_sender f ~src:2 ~dst:3 ~count ~pace:50_000;
+      Scenario.fabric_receiver f ~packets:(aggressor_count + count)
+        ~work:recv_work;
     ]
   in
-  if fair then xen_fabric ~guests:3 ~port_capacity:16 ~mk_fair ~mk_apps ()
-  else xen_fabric ~guests:3 ~port_capacity:16 ~mk_apps ()
+  summarize Vmm
+    (Scenario.fabric_xen ~guests:3 ~port_capacity:16
+       ?mk_fair:(if fair then Some mk_fair else None)
+       ~apps ())
 
 let delivered_from r src =
   Option.value ~default:0 (List.assoc_opt src r.per_src)
@@ -365,15 +246,17 @@ let ecn ~stack ~count ~on =
   let pace, work =
     match stack with Vmm -> (0, 1_000_000) | Uk -> (500, 20_000)
   in
-  let mk_apps ~mach ~record ~sent =
+  let apps f =
     [
-      (1, sender ~sent ~src:1 ~dst:2 ~count ~pace);
-      (2, receiver mach ~record ~packets:count ~work);
+      Scenario.fabric_sender f ~src:1 ~dst:2 ~count ~pace;
+      Scenario.fabric_receiver f ~packets:count ~work;
     ]
   in
   match stack with
-  | Vmm -> xen_fabric ~guests:2 ?mark_at ~port_capacity:128 ~mk_apps ()
-  | Uk -> uk_fabric ~guests:2 ?mark_at ~mk_apps ()
+  | Vmm ->
+      summarize Vmm
+        (Scenario.fabric_xen ~guests:2 ?mark_at ~port_capacity:128 ~apps ())
+  | Uk -> fabric ~stack ~guests:2 ?mark_at apps
 
 (* Flow-cache sweep on the raw switch: 8 stations, a hot partner ring
    (3 of 4 packets) plus rotating cold destinations, under FIFO

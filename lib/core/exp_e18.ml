@@ -8,7 +8,6 @@ module Svc = Vmk_ukernel.Svc
 module Watchdog = Vmk_ukernel.Watchdog
 module Cluster = Vmk_ukernel.Smp_cluster
 module Hypervisor = Vmk_vmm.Hypervisor
-module Hcall = Vmk_vmm.Hcall
 module Net_channel = Vmk_vmm.Net_channel
 module Blk_channel = Vmk_vmm.Blk_channel
 module Dom0 = Vmk_vmm.Dom0
@@ -17,7 +16,6 @@ module Bridge = Vmk_vmm.Bridge
 module Svmm = Vmk_vmm.Smp_vmm
 module Port_xen = Vmk_guest.Port_xen
 module Port_l4 = Vmk_guest.Port_l4
-module Sys = Vmk_guest.Sys
 module Apps = Vmk_workloads.Apps
 module Traffic = Vmk_workloads.Traffic
 module Faults = Vmk_faults.Faults
@@ -183,28 +181,19 @@ let xen_run ~quick ~mode ~kill =
         let _vsend =
           Hypervisor.create_domain h ~name:"vsend"
             (Port_xen.guest_body mach ~net:(vchan_a, bridge_dom)
-               ~app:(fun () ->
-                 Sys.burn settle;
-                 for seq = 0 to vnet_count - 1 do
-                   (try
-                      Sys.net_send ~len:packet_len
-                        ~tag:(Sys.vnet_tag ~src:2 ~dst:3 ~seq)
-                    with Sys.Sys_error _ -> ());
-                   Sys.burn vnet_pace
-                 done;
-                 try Sys.net_drain () with Sys.Sys_error _ -> ()))
+               ~app:
+                 (Apps.net_tx_stream ~settle ~pace:vnet_pace ~src:2 ~dst:3
+                    ~packets:vnet_count ~len:packet_len ()))
         in
         let _vrecv =
           Hypervisor.create_domain h ~name:"vrecv"
             (Port_xen.guest_body mach ~net:(vchan_b, bridge_dom)
                ~app:(fun () ->
-                 (try
-                    for _ = 1 to vnet_count do
-                      let _len, tag = Sys.net_recv () in
-                      vnet_arrivals :=
-                        (tag, Machine.now mach) :: !vnet_arrivals
-                    done
-                  with Sys.Sys_error _ -> ());
+                 Apps.net_rx_probe
+                   ~now:(fun () -> Machine.now mach)
+                   ~record:(fun ~tag ~at ->
+                     vnet_arrivals := (tag, at) :: !vnet_arrivals)
+                   ~packets:vnet_count () ();
                  vnet_done := true))
         in
         ( {

@@ -23,27 +23,19 @@ module Table = Vmk_stats.Table
 module Machine = Vmk_hw.Machine
 module Addr = Vmk_hw.Addr
 module Counter = Vmk_trace.Counter
-module Rng = Vmk_sim.Rng
-module Cap = Vmk_cap.Cap
 module Kernel = Vmk_ukernel.Kernel
 module Sysif = Vmk_ukernel.Sysif
 module Proto = Vmk_ukernel.Proto
-module Net_server = Vmk_ukernel.Net_server
 module Hypervisor = Vmk_vmm.Hypervisor
 module Hcall = Vmk_vmm.Hcall
-module Net_channel = Vmk_vmm.Net_channel
-module Bridge = Vmk_vmm.Bridge
-module Port_xen = Vmk_guest.Port_xen
 module Port_l4 = Vmk_guest.Port_l4
 module Sys = Vmk_guest.Sys
+module Apps = Vmk_workloads.Apps
 
 let depths = [ 1; 2; 3; 4; 5; 6 ]
-let packet_len = 512
 let sender_pace = 8_000
-let settle = 50_000
 let storm_guests = 6
 let storm_chain_depth = 3
-let io_timeout = 20_000_000L
 
 (* --- depth sweep result --- *)
 
@@ -247,11 +239,20 @@ let innocent_times arrivals ~innocent =
    3->4 and 5->6 are the innocent bystanders. *)
 let storm_innocent = [ 3; 5 ]
 
+(* [victim] wraps port 1's sender: the L4 storm follows it with a
+   post-revoke burst. *)
+let storm_apps f ~count ~victim =
+  let send src =
+    Scenario.fabric_sender f ~src ~dst:(src + 1) ~count ~pace:sender_pace
+  in
+  let recv = Scenario.fabric_receiver f ~packets:count ~work:0 in
+  [ victim (send 1); recv; send 3; recv; send 5; recv ]
+
 (* Replay digest: the machine, every arrival and the revoke's measured
    outcome. *)
-let storm_result mach ~count ~arrivals ~denied ~victim_failed ~removed ~forced
-    ~transitions ~teardown =
-  let arrivals = List.sort compare arrivals in
+let storm_result (f : Scenario.fabric) ~count ~denied ~victim_failed ~removed
+    ~forced ~transitions ~teardown =
+  let arrivals = List.sort compare f.fab_arrivals in
   let innocent = innocent_times arrivals ~innocent:storm_innocent in
   let p99_gap = percentile_gap 99 innocent in
   {
@@ -265,7 +266,7 @@ let storm_result mach ~count ~arrivals ~denied ~victim_failed ~removed ~forced
     st_transitions = transitions;
     st_teardown = teardown;
     st_digest =
-      Machine.digest mach
+      Machine.digest f.fab_mach
         (Printf.sprintf
            "innocent %d gap %Ld denied %d failed %d removed %d forced %d \
             teardown %Ld"
@@ -274,23 +275,6 @@ let storm_result mach ~count ~arrivals ~denied ~victim_failed ~removed ~forced
         :: Scenario.arrival_lines arrivals);
   }
 
-let sender ~src ~dst ~count () =
-  Sys.burn settle;
-  for seq = 0 to count - 1 do
-    (try Sys.net_send ~len:packet_len ~tag:(Sys.vnet_tag ~src ~dst ~seq)
-     with Sys.Sys_error _ -> ());
-    Sys.burn sender_pace
-  done;
-  try Sys.net_drain () with Sys.Sys_error _ -> ()
-
-let receiver mach ~record ~packets () =
-  try
-    for _ = 1 to packets do
-      let _len, tag = Sys.net_recv () in
-      record ~tag ~at:(Machine.now mach)
-    done
-  with Sys.Sys_error _ -> ()
-
 (* L4 storm: the broker recursively revokes the misbehaving guest's
    session-cap chain mid-run. Phase 1 of the victim's traffic flows
    normally; once the chain is severed its fresh lookups are denied at
@@ -298,33 +282,6 @@ let receiver mach ~record ~packets () =
    never leaves the guest kernel. *)
 let uk_storm ~quick ~revoke =
   let count = if quick then 24 else 40 in
-  let mach = Machine.create ~seed:42L () in
-  let k = Kernel.create mach in
-  let counters = mach.Machine.counters in
-  let net_tid =
-    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
-      (fun () -> Net_server.body mach ~vnet:true ())
-  in
-  let vnets =
-    List.init storm_guests (fun i -> Port_l4.vnet ~mach ~port:(i + 1) ())
-  in
-  let gks =
-    List.mapi
-      (fun i v ->
-        let rtry = Port_l4.retry ~mach (Rng.split mach.Machine.rng) in
-        Kernel.spawn k
-          ~name:(Printf.sprintf "gk%d" (i + 1))
-          ~priority:3 ~account:Port_l4.gk_account
-          (Port_l4.guest_kernel_body ~retry:rtry ~vnet:v ~net:(Some net_tid)
-             ~blk:None))
-      vnets
-  in
-  ignore
-    (Kernel.run k ~until:(fun () ->
-         Counter.get counters "drv.net.vnet_attach" >= storm_guests));
-  let arrivals = ref [] in
-  let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
-  let pending = ref 0 in
   let phase1_done = ref false in
   let revoke_done = ref (not revoke) in
   let victim_failed = ref 0 in
@@ -335,66 +292,47 @@ let uk_storm ~quick ~revoke =
      driver path (the packet goes to the NIC, not the fabric), so the
      severance signal is how many phase-2 packets failed to go out as
      direct vnet IPC. *)
-  let v1 = List.nth vnets 0 in
-  let misbehaving () =
-    sender ~src:1 ~dst:2 ~count ();
+  let victim v1 phase1 () =
+    phase1 ();
     phase1_done := true;
     if revoke then begin
       while not !revoke_done do
         Sysif.sleep 100_000L
       done;
       let direct0 = Port_l4.vnet_sent v1 in
-      for seq = 0 to count - 1 do
-        try
-          Sys.net_send ~len:packet_len ~tag:(Sys.vnet_tag ~src:1 ~dst:4 ~seq)
-        with Sys.Sys_error _ -> ()
-      done;
-      (try Sys.net_drain () with Sys.Sys_error _ -> ());
+      Apps.net_tx_stream ~settle:0 ~pace:0 ~src:1 ~dst:4 ~packets:count
+        ~len:Scenario.fabric_packet_len () ();
       victim_failed := count - (Port_l4.vnet_sent v1 - direct0)
     end
   in
-  let apps =
-    [
-      (1, misbehaving);
-      (2, receiver mach ~record ~packets:count);
-      (3, sender ~src:3 ~dst:4 ~count);
-      (4, receiver mach ~record ~packets:count);
-      (5, sender ~src:5 ~dst:6 ~count);
-      (6, receiver mach ~record ~packets:count);
-    ]
-  in
-  pending := List.length apps;
-  List.iter
-    (fun (port, body) ->
-      let gk = List.nth gks (port - 1) in
-      ignore
-        (Kernel.spawn k
-           ~name:(Printf.sprintf "app%d" port)
-           ~priority:4 ~account:"app"
-           (Port_l4.app_body mach ~gk (fun () ->
-                body ();
-                decr pending))))
-    apps;
-  if revoke then
+  let ctl (f : Scenario.fabric) k ~net =
+    let counters = f.fab_mach.Machine.counters in
     ignore
       (Kernel.spawn k ~name:"ctl" ~priority:2 ~account:"ctl" (fun () ->
            while not !phase1_done do
              Sysif.sleep 50_000L
            done;
-           let before = Machine.now mach in
+           let before = Machine.now f.fab_mach in
            let r0 = Counter.get counters "cap.revoked" in
            (match
-              Sysif.call net_tid
+              Sysif.call net
                 (Sysif.msg Proto.vnet_revoke ~items:[ Sysif.Words [| 1 |] ])
             with
            | _, r when r.Sysif.label = Proto.ok -> ()
            | _ | (exception Sysif.Ipc_error _) -> ());
-           teardown := Int64.sub (Machine.now mach) before;
+           teardown := Int64.sub (Machine.now f.fab_mach) before;
            removed := Counter.get counters "cap.revoked" - r0;
-           revoke_done := true));
-  ignore (Kernel.run k ~until:(fun () -> !pending = 0));
-  ignore (Kernel.run k ~max_dispatches:100_000);
-  storm_result mach ~count ~arrivals:!arrivals
+           revoke_done := true))
+  in
+  let f =
+    Scenario.fabric_l4 ~guests:storm_guests
+      ?side:(if revoke then Some ctl else None)
+      ~apps:(fun f vnets ->
+        storm_apps f ~count ~victim:(victim (List.hd vnets)))
+      ()
+  in
+  let counters = f.fab_mach.Machine.counters in
+  storm_result f ~count
     ~denied:(Counter.get counters "drv.net.vnet_denied")
     ~victim_failed:!victim_failed ~removed:!removed ~forced:0
     ~transitions:(Counter.get counters "uk.syscall")
@@ -408,95 +346,64 @@ let xen_storm ~quick ~revoke =
   let count = if quick then 24 else 40 in
   let revoke_at = 1_500_000L in
   let depth = storm_chain_depth in
-  let mach = Machine.create ~seed:41L () in
-  let h = Hypervisor.create mach in
-  let counters = mach.Machine.counters in
-  let chans =
-    List.init storm_guests (fun i ->
-        Net_channel.create ~mode:Net_channel.Flip ~demux_key:(i + 1) ())
-  in
-  let bridge =
-    Hypervisor.create_domain h ~name:Bridge.name ~privileged:true ~weight:512
-      (fun () -> Bridge.body mach ~net:chans ())
-  in
-  (* The delegation chain, off to the side of the traffic. *)
-  let domids = Array.make (depth + 1) 0 in
-  let grefs = Array.make (depth + 1) None in
-  let built = ref false and revoked = ref false in
   let removed = ref 0 and forced = ref 0 and teardown = ref 0L in
-  (* Coarse poll: the chain domains are bystanders to the traffic and
-     their waiting must not itself look like a hypercall storm. *)
-  let wait cond =
-    while not (cond ()) do
-      ignore (Hcall.block ~timeout:250_000L ())
-    done
+  (* The delegation chain, off to the side of the traffic. *)
+  let chain (f : Scenario.fabric) h =
+    let mach = f.fab_mach in
+    let counters = mach.Machine.counters in
+    let domids = Array.make (depth + 1) 0 in
+    let grefs = Array.make (depth + 1) None in
+    let built = ref false and revoked = ref false in
+    (* Coarse poll: the chain domains are bystanders to the traffic and
+       their waiting must not itself look like a hypercall storm. *)
+    let wait cond =
+      while not (cond ()) do
+        ignore (Hcall.block ~timeout:250_000L ())
+      done
+    in
+    for i = depth downto 1 do
+      domids.(i) <-
+        Hypervisor.create_domain h
+          ~name:(Printf.sprintf "mis%d" i)
+          (fun () ->
+            wait (fun () -> grefs.(i) <> None);
+            let gref = Option.get grefs.(i) in
+            let frame = Hcall.grant_map ~dom:domids.(i - 1) ~gref in
+            if i < depth then
+              grefs.(i + 1) <-
+                Some (Hcall.grant ~to_dom:domids.(i + 1) ~frame ~readonly:false)
+            else built := true;
+            (* Stay alive holding the mapping: the revoke must cut down
+               *live* state, not bookkeeping a clean exit already tore
+               down. *)
+            wait (fun () -> !revoked))
+    done;
+    domids.(0) <-
+      Hypervisor.create_domain h ~name:"mis0" (fun () ->
+          let frame = List.hd (Hcall.alloc_frames 1) in
+          let g1 = Hcall.grant ~to_dom:domids.(1) ~frame ~readonly:false in
+          grefs.(1) <- Some g1;
+          wait (fun () -> !built);
+          if revoke then begin
+            wait (fun () -> Int64.compare (Machine.now mach) revoke_at >= 0);
+            let before = Machine.now mach in
+            let r0 = Counter.get counters "cap.revoked" in
+            let f0 = Counter.get counters "gnt.revoke_forced" in
+            Hcall.grant_revoke g1;
+            teardown := Int64.sub (Machine.now mach) before;
+            removed := Counter.get counters "cap.revoked" - r0;
+            forced := Counter.get counters "gnt.revoke_forced" - f0
+          end;
+          revoked := true)
   in
-  for i = depth downto 1 do
-    domids.(i) <-
-      Hypervisor.create_domain h
-        ~name:(Printf.sprintf "mis%d" i)
-        (fun () ->
-          wait (fun () -> grefs.(i) <> None);
-          let gref = Option.get grefs.(i) in
-          let frame = Hcall.grant_map ~dom:domids.(i - 1) ~gref in
-          if i < depth then
-            grefs.(i + 1) <-
-              Some (Hcall.grant ~to_dom:domids.(i + 1) ~frame ~readonly:false)
-          else built := true;
-          (* Stay alive holding the mapping: the revoke must cut down
-             *live* state, not bookkeeping a clean exit already tore
-             down. *)
-          wait (fun () -> !revoked))
-  done;
-  domids.(0) <-
-    Hypervisor.create_domain h ~name:"mis0" (fun () ->
-        let frame = List.hd (Hcall.alloc_frames 1) in
-        let g1 = Hcall.grant ~to_dom:domids.(1) ~frame ~readonly:false in
-        grefs.(1) <- Some g1;
-        wait (fun () -> !built);
-        if revoke then begin
-          wait (fun () -> Int64.compare (Machine.now mach) revoke_at >= 0);
-          let before = Machine.now mach in
-          let r0 = Counter.get counters "cap.revoked" in
-          let f0 = Counter.get counters "gnt.revoke_forced" in
-          Hcall.grant_revoke g1;
-          teardown := Int64.sub (Machine.now mach) before;
-          removed := Counter.get counters "cap.revoked" - r0;
-          forced := Counter.get counters "gnt.revoke_forced" - f0;
-          revoked := true
-        end
-        else revoked := true);
-  ignore revoked;
-  let arrivals = ref [] in
-  let record ~tag ~at = arrivals := (tag, at) :: !arrivals in
-  let pending = ref 0 in
-  let apps =
-    [
-      (1, sender ~src:1 ~dst:2 ~count);
-      (2, receiver mach ~record ~packets:count);
-      (3, sender ~src:3 ~dst:4 ~count);
-      (4, receiver mach ~record ~packets:count);
-      (5, sender ~src:5 ~dst:6 ~count);
-      (6, receiver mach ~record ~packets:count);
-    ]
+  let f =
+    Scenario.fabric_xen ~guests:storm_guests ~side:chain
+      ~apps:(fun f -> storm_apps f ~count ~victim:Fun.id)
+      ()
   in
-  pending := List.length apps;
-  List.iteri
-    (fun i (port, body) ->
-      assert (port = i + 1);
-      let chan = List.nth chans i in
-      ignore
-        (Hypervisor.create_domain h
-           ~name:(Printf.sprintf "guest%d" port)
-           (Port_xen.guest_body mach ~net:(chan, bridge) ~io_timeout
-              ~app:(fun () ->
-                body ();
-                decr pending))))
-    apps;
-  ignore (Hypervisor.run h ~until:(fun () -> !pending = 0));
-  ignore (Hypervisor.run h ~max_dispatches:100_000);
-  storm_result mach ~count ~arrivals:!arrivals ~denied:0 ~victim_failed:0
-    ~removed:!removed ~forced:!forced
+  let counters = f.fab_mach.Machine.counters in
+  storm_result f ~count ~denied:0 ~victim_failed:0 ~removed:!removed
+    ~forced:!forced
     ~transitions:
       (Counter.get counters "vmm.hypercall" + Counter.get counters "vmm.upcall")
     ~teardown:!teardown

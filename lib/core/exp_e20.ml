@@ -16,9 +16,13 @@ let cfg_precopy = Migrate.precopy ~max_rounds:6 ~threshold:6 ()
 
 let sizes ~quick = if quick then (32, 192) else (64, 480)
 
+let stack_name = function `Vmm -> "VMM" | `L4 -> "L4"
+let migrate = function `Vmm -> Mig_vmm.migrate | `L4 -> Mig_uk.migrate
+
 (* Every sequence number delivered exactly once across both sinks. *)
-let exactly_once ~total ~src_log ~dst_log =
-  List.sort compare (src_log @ dst_log) = List.init total Fun.id
+let exactly_once (r : Migrate.result) =
+  List.sort compare (r.r_src_log @ r.r_dst_log)
+  = List.init r.r_total_sends Fun.id
 
 let outcome_cells = function
   | Migrate.Completed { c_rounds; c_pages; c_downtime } ->
@@ -40,36 +44,17 @@ type sweep_row = {
   sw_faults : int;  (** log-dirty protection faults on the source *)
 }
 
-let vmm_sweep_one ~pages ~steps ~w ~cfg ~mode =
-  let r = Mig_vmm.migrate ~pages ~steps ~w ~cfg () in
-  let reference = Mig_vmm.reference ~pages ~steps ~w () in
-  {
-    sw_stack = "VMM";
-    sw_profile = profile_name w;
-    sw_mode = mode;
-    sw_outcome = r.Mig_vmm.r_outcome;
-    sw_replay_ok =
-      r.Mig_vmm.r_survivor = `Dst && Image.equal r.Mig_vmm.r_image reference;
-    sw_packets_ok =
-      exactly_once ~total:r.Mig_vmm.r_total_sends
-        ~src_log:r.Mig_vmm.r_src_log ~dst_log:r.Mig_vmm.r_dst_log;
-    sw_faults = r.Mig_vmm.r_logdirty_faults;
-  }
-
-let uk_sweep_one ~pages ~steps ~w ~cfg ~mode =
-  let r = Mig_uk.migrate ~pages ~steps ~w ~cfg () in
+let sweep_one stack ~pages ~steps ~w ~cfg ~mode =
+  let r = migrate stack ~pages ~steps ~w ~cfg () in
   let reference = Mig_vmm.reference ~pages ~steps ~w () in
   ( {
-      sw_stack = "L4";
+      sw_stack = stack_name stack;
       sw_profile = profile_name w;
       sw_mode = mode;
-      sw_outcome = r.Mig_uk.r_outcome;
-      sw_replay_ok =
-        r.Mig_uk.r_survivor = `Dst && Image.equal r.Mig_uk.r_image reference;
-      sw_packets_ok =
-        exactly_once ~total:r.Mig_uk.r_total_sends ~src_log:r.Mig_uk.r_src_log
-          ~dst_log:r.Mig_uk.r_dst_log;
-      sw_faults = r.Mig_uk.r_logdirty_faults;
+      sw_outcome = r.r_outcome;
+      sw_replay_ok = r.r_survivor = `Dst && Image.equal r.r_image reference;
+      sw_packets_ok = exactly_once r;
+      sw_faults = r.r_logdirty_faults;
     },
     r )
 
@@ -112,57 +97,24 @@ type kill_row = {
 let phases = [ Migrate.Setup; Precopy 0; Precopy 1; Stopcopy; Commit ]
 let reasons = [ Migrate.Src_dead; Dst_reject; Link_drop ]
 
-let vmm_kill_one ~pages ~steps ~w ?abort_at ?plan ~label () =
-  let r = Mig_vmm.migrate ~pages ~steps ~w ~cfg:cfg_precopy ?abort_at ?plan () in
+let kill_one stack ~pages ~steps ~w ?abort_at ?plan ~label () =
+  let r = migrate stack ~pages ~steps ~w ~cfg:cfg_precopy ?abort_at ?plan () in
   let reference = Mig_vmm.reference ~pages ~steps ~w () in
-  let consistent = Image.equal r.Mig_vmm.r_image reference in
-  let conserved =
-    exactly_once ~total:r.Mig_vmm.r_total_sends ~src_log:r.Mig_vmm.r_src_log
-      ~dst_log:r.Mig_vmm.r_dst_log
-  in
+  let consistent = Image.equal r.r_image reference in
+  let conserved = exactly_once r in
   let one_copy =
-    match r.Mig_vmm.r_outcome with
+    match r.r_outcome with
     | Migrate.Aborted _ ->
         (* Rollback: destination never ran, source finished the job. *)
-        r.Mig_vmm.r_survivor = `Src
-        && r.Mig_vmm.r_dst_log = []
-        && consistent && conserved
+        r.r_survivor = `Src && r.r_dst_log = [] && consistent && conserved
     | Migrate.Completed _ ->
         (* Switch-over: source destroyed, destination finished. *)
-        r.Mig_vmm.r_survivor = `Dst
-        && (not r.Mig_vmm.r_src_guest_alive)
-        && consistent && conserved
+        r.r_survivor = `Dst && (not r.r_src_alive) && consistent && conserved
   in
   {
-    kr_stack = "VMM";
+    kr_stack = stack_name stack;
     kr_inject = label;
-    kr_outcome = r.Mig_vmm.r_outcome;
-    kr_one_copy = one_copy;
-  }
-
-let uk_kill_one ~pages ~steps ~w ?abort_at ?plan ~label () =
-  let r = Mig_uk.migrate ~pages ~steps ~w ~cfg:cfg_precopy ?abort_at ?plan () in
-  let reference = Mig_vmm.reference ~pages ~steps ~w () in
-  let consistent = Image.equal r.Mig_uk.r_image reference in
-  let conserved =
-    exactly_once ~total:r.Mig_uk.r_total_sends ~src_log:r.Mig_uk.r_src_log
-      ~dst_log:r.Mig_uk.r_dst_log
-  in
-  let one_copy =
-    match r.Mig_uk.r_outcome with
-    | Migrate.Aborted _ ->
-        r.Mig_uk.r_survivor = `Src
-        && r.Mig_uk.r_dst_log = []
-        && consistent && conserved
-    | Migrate.Completed _ ->
-        r.Mig_uk.r_survivor = `Dst
-        && (not r.Mig_uk.r_src_task_alive)
-        && consistent && conserved
-  in
-  {
-    kr_stack = "L4";
-    kr_inject = label;
-    kr_outcome = r.Mig_uk.r_outcome;
+    kr_outcome = r.r_outcome;
     kr_one_copy = one_copy;
   }
 
@@ -214,21 +166,26 @@ let run ~quick =
   let pages, steps = sizes ~quick in
   (* 1. Convergence sweep: pre-copy vs stop-and-copy at both dirty
      rates, on both stacks. *)
+  let row stack ~w ~cfg ~mode =
+    fst (sweep_one stack ~pages ~steps ~w ~cfg ~mode)
+  in
+  let vmm_lo, vmm_lo_r =
+    sweep_one `Vmm ~pages ~steps ~w:w_lo ~cfg:cfg_precopy ~mode:"precopy"
+  in
   let vmm_rows =
     [
-      vmm_sweep_one ~pages ~steps ~w:w_lo ~cfg:cfg_precopy ~mode:"precopy";
-      vmm_sweep_one ~pages ~steps ~w:w_hi ~cfg:cfg_precopy ~mode:"precopy";
-      vmm_sweep_one ~pages ~steps ~w:w_lo ~cfg:Migrate.stop_and_copy
-        ~mode:"stop-and-copy";
-      vmm_sweep_one ~pages ~steps ~w:w_hi ~cfg:Migrate.stop_and_copy
-        ~mode:"stop-and-copy";
+      vmm_lo;
+      row `Vmm ~w:w_hi ~cfg:cfg_precopy ~mode:"precopy";
+      row `Vmm ~w:w_lo ~cfg:Migrate.stop_and_copy ~mode:"stop-and-copy";
+      row `Vmm ~w:w_hi ~cfg:Migrate.stop_and_copy ~mode:"stop-and-copy";
     ]
   in
-  let uk_lo, uk_lo_r = uk_sweep_one ~pages ~steps ~w:w_lo ~cfg:cfg_precopy ~mode:"precopy" in
-  let uk_hi, _ = uk_sweep_one ~pages ~steps ~w:w_hi ~cfg:cfg_precopy ~mode:"precopy" in
-  let uk_sc, _ =
-    uk_sweep_one ~pages ~steps ~w:w_lo ~cfg:Migrate.stop_and_copy
-      ~mode:"stop-and-copy"
+  let uk_lo, uk_lo_r =
+    sweep_one `L4 ~pages ~steps ~w:w_lo ~cfg:cfg_precopy ~mode:"precopy"
+  in
+  let uk_hi = row `L4 ~w:w_hi ~cfg:cfg_precopy ~mode:"precopy" in
+  let uk_sc =
+    row `L4 ~w:w_lo ~cfg:Migrate.stop_and_copy ~mode:"stop-and-copy"
   in
   let uk_rows = [ uk_lo; uk_hi; uk_sc ] in
   (* 2. Kill matrix: every phase x every failure mode, plus a
@@ -238,7 +195,7 @@ let run ~quick =
       (fun p ->
         List.map
           (fun rsn ->
-            vmm_kill_one ~pages ~steps ~w:w_lo ~abort_at:(p, rsn)
+            kill_one `Vmm ~pages ~steps ~w:w_lo ~abort_at:(p, rsn)
               ~label:
                 (Printf.sprintf "%s @ %s" (Migrate.reason_name rsn)
                    (Migrate.phase_name p))
@@ -249,7 +206,7 @@ let run ~quick =
   let uk_kills =
     List.map
       (fun p ->
-        uk_kill_one ~pages ~steps ~w:w_lo ~abort_at:(p, Migrate.Src_dead)
+        kill_one `L4 ~pages ~steps ~w:w_lo ~abort_at:(p, Migrate.Src_dead)
           ~label:(Printf.sprintf "src-dead @ %s" (Migrate.phase_name p))
           ())
       phases
@@ -258,19 +215,19 @@ let run ~quick =
      deterministic migration window first, then re-run the same seed
      with a Mig_fault aimed at its midpoint. *)
   let mid (a, b) = Int64.div (Int64.add a b) 2L in
-  let probe_vmm = Mig_vmm.migrate ~pages ~steps ~w:w_lo ~cfg:cfg_precopy () in
-  let vmm_mid = mid probe_vmm.Mig_vmm.r_window in
+  let probe_vmm = migrate `Vmm ~pages ~steps ~w:w_lo ~cfg:cfg_precopy () in
+  let vmm_mid = mid probe_vmm.r_window in
   let timed_vmm =
-    vmm_kill_one ~pages ~steps ~w:w_lo
+    kill_one `Vmm ~pages ~steps ~w:w_lo
       ~plan:
         [ Faults.Mig_fault { mig_at = vmm_mid; mig_action = Faults.Mig_link_drop } ]
       ~label:(Printf.sprintf "link-drop @ t=%Ld (Faults plan)" vmm_mid)
       ()
   in
-  let probe_uk = Mig_uk.migrate ~pages ~steps ~w:w_lo ~cfg:cfg_precopy () in
-  let uk_mid = mid probe_uk.Mig_uk.r_window in
+  let probe_uk = migrate `L4 ~pages ~steps ~w:w_lo ~cfg:cfg_precopy () in
+  let uk_mid = mid probe_uk.r_window in
   let timed_uk =
-    uk_kill_one ~pages ~steps ~w:w_lo
+    kill_one `L4 ~pages ~steps ~w:w_lo
       ~plan:
         [ Faults.Mig_fault { mig_at = uk_mid; mig_action = Faults.Mig_src_dead } ]
       ~label:(Printf.sprintf "src-dead @ t=%Ld (Faults plan)" uk_mid)
@@ -282,10 +239,12 @@ let run ~quick =
   let planned = Mig_vmm.driver_handoff ~mode:`Planned ~storm:true ~packets () in
   let crash = Mig_vmm.driver_handoff ~mode:`Crash ~storm:true ~packets () in
   (* 4. Determinism: the whole migration — protocol, faults, packet
-     logs — replays identically from the same seed. *)
-  let det_a = Mig_vmm.migrate ~pages ~steps ~w:w_lo ~cfg:cfg_precopy () in
-  let det_b = Mig_vmm.migrate ~pages ~steps ~w:w_lo ~cfg:cfg_precopy () in
-  let deterministic = det_a = det_b in
+     logs, both machines' counters and accounts — replays identically
+     from the same seed. The probes rerun the precopy/dirty-lo rows. *)
+  let deterministic =
+    probe_vmm.r_digest = vmm_lo_r.r_digest
+    && probe_uk.r_digest = uk_lo_r.r_digest
+  in
   let pre_lo = List.nth vmm_rows 0 in
   let pre_hi = List.nth vmm_rows 1 in
   let sc_lo = List.nth vmm_rows 2 in
@@ -305,6 +264,7 @@ let run ~quick =
     | Migrate.Completed { c_rounds; _ } -> c_rounds
     | Migrate.Aborted _ -> max_int
   in
+  let handles_src, handles_dst = Option.get uk_lo_r.r_handles in
   let all_replay =
     List.for_all (fun r -> r.sw_replay_ok && r.sw_packets_ok)
       (vmm_rows @ uk_rows)
@@ -364,10 +324,8 @@ let run ~quick =
                (List.length
                   (List.filter (fun r -> r.sw_replay_ok) (vmm_rows @ uk_rows)))
                (List.length (vmm_rows @ uk_rows))
-               uk_lo_r.Mig_uk.r_handles_src uk_lo_r.Mig_uk.r_handles_dst)
-          (all_replay
-          && uk_lo_r.Mig_uk.r_handles_src = uk_lo_r.Mig_uk.r_handles_dst
-          && uk_lo_r.Mig_uk.r_handles_src = pages);
+               handles_src handles_dst)
+          (all_replay && handles_src = handles_dst && handles_src = pages);
         Experiment.verdict
           ~claim:
             "a failure injected at any protocol phase resolves to exactly \

@@ -178,9 +178,7 @@ let run_cell ~stack ~mode ~sched ?(seed = 220L) ?(pkt_gap = 400)
   let nshards = match stack with Vmm -> 1 | Uk -> Machine.ncpus mach in
   let c = costs_of ~stack arch in
   let svc = svc_cycles ~stack arch in
-  let lock =
-    Smp.lock_create smp ~name:(match stack with Vmm -> "gnt" | Uk -> "mapdb")
-  in
+  let lock = Smp.lock_create smp in
   (* Admission (Policied): per-tenant fair share provisioned at ~90% of
      aggregate fabric capacity, plus a per-shard token bucket at ~95% of
      the shard's service rate — the E15/E17 shapes on the SMP machine. *)
@@ -462,8 +460,6 @@ let run_cell ~stack ~mode ~sched ?(seed = 220L) ?(pkt_gap = 400)
 
 (* --- scenario builders --- *)
 
-let arch_profile = (Machine.create ~seed:1L ()).Machine.arch
-
 let day_sched ~quick ?(seed = 22L) () =
   let flows_target = if quick then 20_000 else 1_050_000 in
   let tenants = 32 and guests = 8 in
@@ -472,7 +468,7 @@ let day_sched ~quick ?(seed = 22L) () =
   let duty = on_mean /. (on_mean +. off_mean) in
   let ramp = Scenario.diurnal in
   let msize = pareto_mean ~alpha ~lo:size_min ~hi:size_max in
-  let cap = float_of_int (vmm_cap_cycles arch_profile) in
+  let cap = float_of_int (vmm_cap_cycles Arch.default) in
   (* Peak offered load = 1.3x the single Dom0 core's forwarding
      capacity — well inside what eight microkernel shards absorb. *)
   let peak_flow_rate = 1.3 /. cap /. msize in
@@ -501,7 +497,7 @@ let knee_sched ~quick ~ratio ?(seed = 23L) () =
   let msize = pareto_mean ~alpha ~lo:size_min ~hi:size_max in
   let pkts = if quick then 10_000 else 40_000 in
   let flows = max 200 (int_of_float (float_of_int pkts /. msize)) in
-  let cap = float_of_int (vmm_cap_cycles arch_profile) in
+  let cap = float_of_int (vmm_cap_cycles Arch.default) in
   let flow_rate = ratio /. cap /. msize in
   let gap = float_of_int tenants /. flow_rate in
   let horizon = float_of_int flows *. gap /. float_of_int tenants in
@@ -524,7 +520,7 @@ let fairness_sched ~quick ?(seed = 24L) () =
   let alpha = 2.6 and size_min = 1 and size_max = 512 in
   let msize = pareto_mean ~alpha ~lo:size_min ~hi:size_max in
   let flows_target = if quick then 6_000 else 40_000 in
-  let cap = float_of_int (vmm_cap_cycles arch_profile) in
+  let cap = float_of_int (vmm_cap_cycles Arch.default) in
   (* Victim paced at 0.25x Dom0 capacity; aggressor floods at 1.3x. *)
   let victim_rate = 0.25 /. cap /. msize in
   let aggr_mult = 1.3 /. 0.25 in

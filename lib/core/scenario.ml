@@ -21,6 +21,7 @@ module Svc = Vmk_ukernel.Svc
 module Watchdog = Vmk_ukernel.Watchdog
 module Smp_cluster = Vmk_ukernel.Smp_cluster
 module Smp_vmm = Vmk_vmm.Smp_vmm
+module Bridge = Vmk_vmm.Bridge
 
 type outcome = {
   cycles : int64;
@@ -366,6 +367,106 @@ let rx_knee runs =
   match List.find_opt (fun r -> rx_efficiency r < 0.9) runs with
   | Some r -> r.offered
   | None -> infinity
+
+(* --- the inter-guest vnet fabric (E17, E19) --- *)
+
+type fabric = {
+  fab_mach : Machine.t;
+  fab_tx : Apps.stats;
+  mutable fab_arrivals : (int * int64) list;
+}
+
+let fabric_packet_len = 512
+let fabric_settle = 50_000
+
+let fabric_sender f ~src ~dst ~count ~pace =
+  Apps.net_tx_stream ~stats:f.fab_tx ~settle:fabric_settle ~pace ~src ~dst
+    ~packets:count ~len:fabric_packet_len ()
+
+let fabric_receiver f ~packets ~work =
+  Apps.net_rx_probe ~work
+    ~now:(fun () -> Machine.now f.fab_mach)
+    ~record:(fun ~tag ~at -> f.fab_arrivals <- (tag, at) :: f.fab_arrivals)
+    ~packets ()
+
+(* Guest [i] (port [i + 1]) runs the [i]th app body. A fabric run ends
+   once every body has returned, then lets in-flight packets settle.
+   The bridge domain runs at double weight; the guests' 20M-cycle I/O
+   timeout outlasts every send pause the experiments configure. *)
+let fabric_xen ~guests ?mark_at ?port_capacity ?mk_fair ?side ~apps () =
+  let mach = Machine.create ~seed:41L () in
+  let h = Hypervisor.create mach in
+  let fair = Option.map (fun mk -> mk mach) mk_fair in
+  let chans =
+    List.init guests (fun i ->
+        Net_channel.create ~mode:Net_channel.Flip ~demux_key:(i + 1) ())
+  in
+  let bridge =
+    Hypervisor.create_domain h ~name:Bridge.name ~privileged:true ~weight:512
+      (fun () -> Bridge.body mach ?mark_at ?port_capacity ?fair ~net:chans ())
+  in
+  let f = { fab_mach = mach; fab_tx = Apps.stats (); fab_arrivals = [] } in
+  Option.iter (fun side -> side f h) side;
+  let bodies = apps f in
+  let pending = ref (List.length bodies) in
+  List.iteri
+    (fun i body ->
+      ignore
+        (Hypervisor.create_domain h
+           ~name:(Printf.sprintf "guest%d" (i + 1))
+           (Port_xen.guest_body mach ~net:(List.nth chans i, bridge)
+              ~io_timeout:20_000_000L
+              ~app:(fun () ->
+                body ();
+                decr pending))))
+    bodies;
+  ignore (Hypervisor.run h ~until:(fun () -> !pending = 0));
+  ignore (Hypervisor.run h ~max_dispatches:100_000);
+  f
+
+let fabric_l4 ~guests ?mark_at ?side ~apps () =
+  let mach = Machine.create ~seed:42L () in
+  let k = Kernel.create mach in
+  let net_tid =
+    Kernel.spawn k ~name:"net-server" ~priority:2 ~account:Net_server.account
+      (fun () -> Net_server.body mach ~vnet:true ())
+  in
+  let vnets, gks =
+    List.split
+      (List.init guests (fun i ->
+           let port = i + 1 in
+           let v = Port_l4.vnet ~mach ~port ?mark_at () in
+           let retry = Port_l4.retry ~mach (Rng.split mach.Machine.rng) in
+           ( v,
+             Kernel.spawn k
+               ~name:(Printf.sprintf "gk%d" port)
+               ~priority:3 ~account:Port_l4.gk_account
+               (Port_l4.guest_kernel_body ~retry ~vnet:v ~net:(Some net_tid)
+                  ~blk:None) )))
+  in
+  (* Barrier: every guest kernel registered with the broker before any
+     application transmits, so no destination resolves unknown (and
+     lands in the negative cache) during boot. *)
+  ignore
+    (Kernel.run k ~until:(fun () ->
+         Counter.get mach.Machine.counters "drv.net.vnet_attach" >= guests));
+  let f = { fab_mach = mach; fab_tx = Apps.stats (); fab_arrivals = [] } in
+  let bodies = apps f vnets in
+  let pending = ref (List.length bodies) in
+  List.iteri
+    (fun i body ->
+      ignore
+        (Kernel.spawn k
+           ~name:(Printf.sprintf "app%d" (i + 1))
+           ~priority:4 ~account:"app"
+           (Port_l4.app_body mach ~gk:(List.nth gks i) (fun () ->
+                body ();
+                decr pending))))
+    bodies;
+  Option.iter (fun side -> side f k ~net:net_tid) side;
+  ignore (Kernel.run k ~until:(fun () -> !pending = 0));
+  ignore (Kernel.run k ~max_dispatches:100_000);
+  f
 
 (* --- supervised driver stacks (E13, E18) --- *)
 

@@ -172,6 +172,70 @@ val rx_knee : rx_storm list -> float
 (** Offered rate of the first run whose {!rx_efficiency} falls below
     0.9; [infinity] if none does. *)
 
+(** {1 The inter-guest vnet fabric}
+
+    [guests] mini-OS instances exchange vnet-tagged packets (E17, E19).
+    Xen-style: a Dom0 software bridge ({!Vmk_vmm.Bridge}, seed 41).
+    L4-style: a connection-brokering net server and direct guest-kernel
+    IPC (seed 42). App body [i] runs on fabric port [i + 1]; the run ends
+    once every body has returned, then lets in-flight packets settle. *)
+
+type fabric = {
+  fab_mach : Vmk_hw.Machine.t;
+  fab_tx : Vmk_workloads.Apps.stats;
+      (** Shared by every {!fabric_sender}: [completed] counts the
+          packets the stack accepted. *)
+  mutable fab_arrivals : (int * int64) list;
+      (** [(tag, virtual time)] of every packet a {!fabric_receiver}
+          logged, newest first. *)
+}
+
+val fabric_packet_len : int
+(** 512 bytes. *)
+
+val fabric_settle : int
+(** 50k cycles of user work before a sender's first packet. *)
+
+val fabric_sender :
+  fabric -> src:int -> dst:int -> count:int -> pace:int -> unit -> unit
+(** {!Vmk_workloads.Apps.net_tx_stream} of [count] packets from port
+    [src] to [dst], [pace] cycles apart, counted in [fab_tx]. *)
+
+val fabric_receiver : fabric -> packets:int -> work:int -> unit -> unit
+(** {!Vmk_workloads.Apps.net_rx_probe} logging each arrival into
+    [fab_arrivals], with [work] cycles of user work per packet. *)
+
+val fabric_xen :
+  guests:int ->
+  ?mark_at:int ->
+  ?port_capacity:int ->
+  ?mk_fair:
+    (Vmk_hw.Machine.t -> Vmk_overload.Overload.Weighted_buckets.t) ->
+  ?side:(fabric -> Vmk_vmm.Hypervisor.t -> unit) ->
+  apps:(fabric -> (unit -> unit) list) ->
+  unit ->
+  fabric
+(** The bridge domain (double weight; [mark_at], [port_capacity] and the
+    weighted gate built by [mk_fair] are passed to
+    {!Vmk_vmm.Bridge.body}) plus one paravirtualized guest per app
+    body, each with a 20M-cycle I/O timeout. [side] creates extra
+    domains after the bridge and before the guests. *)
+
+val fabric_l4 :
+  guests:int ->
+  ?mark_at:int ->
+  ?side:
+    (fabric -> Vmk_ukernel.Kernel.t -> net:Vmk_ukernel.Sysif.tid -> unit) ->
+  apps:(fabric -> Vmk_guest.Port_l4.vnet list -> (unit -> unit) list) ->
+  unit ->
+  fabric
+(** The broker ({!Vmk_ukernel.Net_server} [~vnet:true]) plus [guests]
+    guest kernels, each with a fabric endpoint ([mark_at] arms its ECN
+    watermark) and a retry policy on its own rng split. The apps are
+    spawned once every guest kernel has attached; [apps] also receives
+    the endpoints in port order. [side] spawns extra threads after the
+    apps; it receives the broker's tid. *)
+
 (** {1 Supervised driver stacks} *)
 
 val supervision_period : int64

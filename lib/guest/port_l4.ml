@@ -60,7 +60,6 @@ type vnet = {
   v_opened : (int, unit) Hashtbl.t;  (** Peers with the mapping set up. *)
   v_unknown : (int, unit) Hashtbl.t;  (** Negative lookup cache. *)
   mutable v_sent : int;
-  mutable v_received : int;
 }
 
 let vnet ~mach ~port ?(rx_capacity = 64)
@@ -88,12 +87,9 @@ let vnet ~mach ~port ?(rx_capacity = 64)
     v_opened = Hashtbl.create 8;
     v_unknown = Hashtbl.create 8;
     v_sent = 0;
-    v_received = 0;
   }
 
-let vnet_port v = v.v_port
 let vnet_sent v = v.v_sent
-let vnet_received v = v.v_received
 
 (* --- guest-kernel server --- *)
 
@@ -182,7 +178,6 @@ let vnet_accept v (m : Sysif.msg) =
       (tag, len)
   with
   | Overload.Bounded_queue.Accepted | Overload.Bounded_queue.Displaced _ ->
-      v.v_received <- v.v_received + 1;
       let mark = Overload.Bounded_queue.marked v.v_rx in
       if mark then Counter.incr_id counters v.v_ids.vi_ecn_mark;
       ok_reply ~items:[ Sysif.Words [| (if mark then 1 else 0) |] ] ()

@@ -58,11 +58,8 @@ val vnet :
     [timeout] (default 2M cycles) bounds each data-path rendezvous.
     @raise Invalid_argument if [port < 1]. *)
 
-val vnet_port : vnet -> int
 val vnet_sent : vnet -> int
 (** Packets delivered direct to a peer (excludes retries). *)
-
-val vnet_received : vnet -> int
 
 val guest_kernel_body :
   ?retry:retry ->

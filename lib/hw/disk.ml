@@ -33,7 +33,6 @@ type t = {
   mutable in_flight : int;
   mutable reads : int;
   mutable writes : int;
-  mutable bytes : int;
   mutable faulted : int;
   mutable dropped : int;
 }
@@ -53,7 +52,6 @@ let create engine irq_ctrl ~irq_line ?(base_latency = 40_000L)
     in_flight = 0;
     reads = 0;
     writes = 0;
-    bytes = 0;
     faulted = 0;
     dropped = 0;
   }
@@ -119,22 +117,18 @@ let submit t op ~sector ~frame ~bytes =
                 Hashtbl.replace t.store sector frame.Frame.tag;
                 t.writes <- t.writes + 1
           end;
-          t.bytes <- t.bytes + bytes;
           t.in_flight <- t.in_flight - 1;
           Queue.add { id; op; sector; frame; bytes; ok = true } t.done_queue;
           Irq.raise_line t.irq_ctrl t.irq_line));
   id
 
 let completed t = Queue.take_opt t.done_queue
-let completions_pending t = Queue.length t.done_queue
 let in_flight t = t.in_flight
 
 let sector_tag t sector =
   match Hashtbl.find_opt t.store sector with Some v -> v | None -> 0
 
-let preload t ~sector ~tag = Hashtbl.replace t.store sector tag
 let reads_total t = t.reads
 let writes_total t = t.writes
-let bytes_total t = t.bytes
 let faulted_total t = t.faulted
 let dropped_total t = t.dropped

@@ -70,18 +70,13 @@ val submit : t -> op -> sector:int -> frame:Frame.frame -> bytes:int -> int
 val completed : t -> request option
 (** Pop the oldest finished request. *)
 
-val completions_pending : t -> int
 val in_flight : t -> int
 
 val sector_tag : t -> int -> int
 (** Stored tag of a sector; [0] if never written. *)
 
-val preload : t -> sector:int -> tag:int -> unit
-(** Seed the sector store (build a test image without I/O). *)
-
 val reads_total : t -> int
 val writes_total : t -> int
-val bytes_total : t -> int
 
 val faulted_total : t -> int
 (** Requests completed with [ok = false]. *)

@@ -83,7 +83,6 @@ let start_timer t ~period =
   end
 
 let stop_timer t = t.timer_on := false
-let timer_running t = !(t.timer_on)
 
 let digest t state =
   let b = Buffer.create 4096 in

@@ -68,7 +68,6 @@ val start_timer : t -> period:int64 -> unit
     when {!stop_timer} is called. *)
 
 val stop_timer : t -> unit
-val timer_running : t -> bool
 
 val digest : t -> string list -> string
 (** [digest t state] is the replay digest of a finished run: the hex MD5

@@ -26,11 +26,3 @@ let stale pte = pte.frame.Frame.generation <> pte.frame_generation
 let mapped_count t = Hashtbl.length t.entries
 let iter t ~f = Hashtbl.iter (fun vpn pte -> f ~vpn pte) t.entries
 let clear t = Hashtbl.reset t.entries
-
-let find_vpn_of_frame t frame =
-  let found = ref None in
-  Hashtbl.iter
-    (fun vpn pte ->
-      if !found = None && pte.frame == frame then found := Some vpn)
-    t.entries;
-  !found

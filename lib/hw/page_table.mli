@@ -35,6 +35,3 @@ val stale : pte -> bool
 val mapped_count : t -> int
 val iter : t -> f:(vpn:int -> pte -> unit) -> unit
 val clear : t -> unit
-
-val find_vpn_of_frame : t -> Frame.frame -> int option
-(** Reverse lookup: some virtual page currently mapping the frame. *)

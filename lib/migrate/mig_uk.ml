@@ -13,20 +13,6 @@ let base_vpn = 0x5000
 (* Where the task's image lives in its address space; the pager maps
    frames here on first touch. *)
 
-type result = {
-  r_outcome : Migrate.outcome;
-  r_image : Image.t;
-  r_survivor : [ `Src | `Dst ];
-  r_src_log : int list;
-  r_dst_log : int list;
-  r_total_sends : int;
-  r_src_task_alive : bool;
-  r_logdirty_faults : int;
-  r_handles_src : int;
-  r_handles_dst : int;
-  r_window : int64 * int64;
-}
-
 (* The sink: record every caller's label, reply ok. Blocking in Recv
    forever is fine — an idle sink does not keep the kernel running. *)
 let sink_body ~log () =
@@ -72,7 +58,7 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
     ?(link = Migrate.link ~page_cost:2_000 ~state_cost:4_000 ())
     ?abort_at ?(plan = []) ?(start_after = 200_000L)
     ?(seed = 53L) () =
-  let sends = steps / w.Workload.send_every in
+  let sends = Migrate.total_sends ~steps ~w in
   (* --- source kernel --- *)
   let mach = Machine.create ~seed () in
   let k = Kernel.create mach in
@@ -170,25 +156,17 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
     | None ->
         Migrate.Aborted { a_phase = Migrate.Setup; a_reason = Migrate.Src_dead }
   in
-  let finish ~survivor ~img ~dst_log ~handles_src ~handles_dst =
-    {
-      r_outcome = out;
-      r_image = img;
-      r_survivor = survivor;
-      r_src_log = List.rev !src_log;
-      r_dst_log = dst_log;
-      r_total_sends = sends;
-      r_src_task_alive = Kernel.is_alive k task;
-      r_logdirty_faults = Counter.get mach.Machine.counters "uk.logdirty_fault";
-      r_handles_src = handles_src;
-      r_handles_dst = handles_dst;
-      r_window = (!t_start, !t_end);
-    }
+  let finish ~survivor ~img ~dst_log ~handles ~dst =
+    Migrate.result ~src:mach ~dst ~outcome:out ~image:img ~survivor
+      ~src_log:(List.rev !src_log) ~dst_log ~total_sends:sends
+      ~src_alive:(Kernel.is_alive k task)
+      ~logdirty_faults:(Counter.get mach.Machine.counters "uk.logdirty_fault")
+      ~handles:(Some handles) ~window:(!t_start, !t_end)
   in
   match out with
   | Migrate.Aborted _ ->
-      finish ~survivor:`Src ~img:image ~dst_log:[] ~handles_src:!handles_src
-        ~handles_dst:0
+      finish ~survivor:`Src ~img:image ~dst_log:[] ~handles:(!handles_src, 0)
+        ~dst:None
   | Migrate.Completed _ ->
       (* --- destination kernel: restore through the pager, replay --- *)
       let mach2 = Machine.create ~seed:(Int64.add seed 1L) () in
@@ -222,4 +200,4 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
       (* [staged_handles] is the count that rode the state message —
          the source-side truth the restored table is held against. *)
       finish ~survivor:`Dst ~img:image2 ~dst_log:(List.rev !dst_log)
-        ~handles_src:!staged_handles ~handles_dst:!handles_dst
+        ~handles:(!staged_handles, !handles_dst) ~dst:(Some mach2)

@@ -14,24 +14,8 @@
     transfer — the mappings are re-established through the pager, and
     the per-page capability handles come back with the map items), then
     replays the deterministic workload from the migrated step counter.
-    The handle counts on both sides are reported so the experiment can
-    check the capability table survived the move. *)
-
-type result = {
-  r_outcome : Migrate.outcome;
-  r_image : Migrate.Image.t;  (** Final image of the surviving copy. *)
-  r_survivor : [ `Src | `Dst ];
-  r_src_log : int list;  (** Seqs the source sink received, in order. *)
-  r_dst_log : int list;
-  r_total_sends : int;
-  r_src_task_alive : bool;
-  r_logdirty_faults : int;  (** ["uk.logdirty_fault"] on the source. *)
-  r_handles_src : int;  (** Per-page capability handles at the source. *)
-  r_handles_dst : int;  (** Handles re-established on the destination. *)
-  r_window : int64 * int64;
-      (** Source-clock [(start, end)] of the protocol run, as in
-          {!Mig_vmm}. *)
-}
+    The handle counts on both sides are reported in [r_handles] so the
+    experiment can check the capability table survived the move. *)
 
 val migrate :
   ?pages:int ->
@@ -44,5 +28,5 @@ val migrate :
   ?start_after:int64 ->
   ?seed:int64 ->
   unit ->
-  result
+  Migrate.result
 (** Same knobs and defaults as {!Mig_vmm.migrate} (seed 53). *)

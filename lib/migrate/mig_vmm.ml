@@ -16,8 +16,6 @@ let sink_key = 2
 let storm_key = 3
 let packet_len = 256
 
-let total_sends ~steps ~(w : Workload.t) = steps / w.Workload.send_every
-
 let reference ?(pages = 64) ?(steps = 400) ?(w = Workload.make ()) () =
   let img = Image.create ~pages in
   for _ = 1 to steps do
@@ -33,19 +31,6 @@ let wait ?(tick = 20_000L) cond =
   while not (cond ()) do
     ignore (Hcall.block ~timeout:tick ())
   done
-
-type result = {
-  r_outcome : Migrate.outcome;
-  r_image : Image.t;
-  r_survivor : [ `Src | `Dst ];
-  r_src_log : int list;
-  r_dst_log : int list;
-  r_total_sends : int;
-  r_src_guest_alive : bool;
-  r_logdirty_faults : int;
-  r_front_generation : int;
-  r_window : int64 * int64;
-}
 
 (* The sink guest: a frontend that records every received sequence
    number. [stop] ends the loop once the fabric has gone quiet. *)
@@ -98,7 +83,7 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
     ?(link = Migrate.link ~page_cost:2_000 ~state_cost:4_000 ())
     ?abort_at ?(plan = []) ?(start_after = 200_000L)
     ?(seed = 97L) () =
-  let sends = total_sends ~steps ~w in
+  let sends = Migrate.total_sends ~steps ~w in
   (* --- source machine --- *)
   let mach = Machine.create ~seed () in
   let h = Hypervisor.create mach in
@@ -210,22 +195,15 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
            resolved; report as an abort at setup. *)
         Migrate.Aborted { a_phase = Migrate.Setup; a_reason = Migrate.Src_dead }
   in
-  let finish ~survivor ~img ~dst_log ~gen =
-    {
-      r_outcome = out;
-      r_image = img;
-      r_survivor = survivor;
-      r_src_log = List.rev !src_log;
-      r_dst_log = dst_log;
-      r_total_sends = sends;
-      r_src_guest_alive = Hypervisor.is_alive h guest;
-      r_logdirty_faults = Counter.get mach.Machine.counters "vmm.logdirty_fault";
-      r_front_generation = gen;
-      r_window = (!t_start, !t_end);
-    }
+  let finish ~survivor ~img ~dst_log ~dst =
+    Migrate.result ~src:mach ~dst ~outcome:out ~image:img ~survivor
+      ~src_log:(List.rev !src_log) ~dst_log ~total_sends:sends
+      ~src_alive:(Hypervisor.is_alive h guest)
+      ~logdirty_faults:(Counter.get mach.Machine.counters "vmm.logdirty_fault")
+      ~handles:None ~window:(!t_start, !t_end)
   in
   match out with
-  | Migrate.Aborted _ -> finish ~survivor:`Src ~img:image ~dst_log:[] ~gen:!front_gen
+  | Migrate.Aborted _ -> finish ~survivor:`Src ~img:image ~dst_log:[] ~dst:None
   | Migrate.Completed _ ->
       (* --- destination machine: restore and replay --- *)
       let mach2 = Machine.create ~seed:(Int64.add seed 1L) () in
@@ -251,16 +229,13 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
       in
       let image2 = Image.copy staging in
       let g2_done = ref false in
-      let gen2 = ref !staged_gen in
       let _guest2 =
         Hypervisor.create_domain h2 ~name:"guest" (fun () ->
             let front = Netfront.restore chan_g2 ~generation:!staged_gen () in
-            if Netfront.reconnect front ~timeout:20_000_000L () then begin
+            if Netfront.reconnect front ~timeout:20_000_000L () then
               Migrate.guest_run ~image:image2 ~w
                 ~prims:(guest_prims front ~src:guest_key)
                 ~q:(Migrate.quiesce ()) ~until_step:steps;
-              gen2 := Netfront.generation front
-            end;
             g2_done := true)
       in
       let dst_expected = sends - staging.Image.sent in
@@ -269,7 +244,8 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
              !g2_done && List.length !dst_log >= dst_expected));
       stop2 := true;
       ignore (Hypervisor.run h2 ~max_dispatches:200_000);
-      finish ~survivor:`Dst ~img:image2 ~dst_log:(List.rev !dst_log) ~gen:!gen2
+      finish ~survivor:`Dst ~img:image2 ~dst_log:(List.rev !dst_log)
+        ~dst:(Some mach2)
 
 (* --- driver-domain handoff under load --- *)
 

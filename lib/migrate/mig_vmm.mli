@@ -19,22 +19,6 @@
     must be every sequence number exactly once — the conservation
     property the qcheck satellite drives. *)
 
-type result = {
-  r_outcome : Migrate.outcome;
-  r_image : Migrate.Image.t;  (** Final image of the surviving copy. *)
-  r_survivor : [ `Src | `Dst ];
-  r_src_log : int list;  (** Seqs the source-machine sink received, in order. *)
-  r_dst_log : int list;  (** Same for the destination machine ([] if aborted). *)
-  r_total_sends : int;  (** Packets the whole workload emits. *)
-  r_src_guest_alive : bool;  (** Source guest domain alive after the run. *)
-  r_logdirty_faults : int;  (** ["vmm.logdirty_fault"] on the source. *)
-  r_front_generation : int;  (** Surviving frontend's reconnect generation. *)
-  r_window : int64 * int64;
-      (** Source-clock [(start, end)] of the protocol run — lets a
-          caller aim a time-scheduled {!Vmk_faults.Faults.Mig_fault}
-          into the middle of the migration window deterministically. *)
-}
-
 val migrate :
   ?pages:int ->
   ?steps:int ->
@@ -46,7 +30,7 @@ val migrate :
   ?start_after:int64 ->
   ?seed:int64 ->
   unit ->
-  result
+  Migrate.result
 (** One migration attempt. Defaults: 64 pages, 400 steps, the default
     workload, {!Migrate.precopy}, no injection, daemon start after 200K
     cycles, seed 97. [plan] is armed on the source machine with
@@ -58,8 +42,6 @@ val reference : ?pages:int -> ?steps:int -> ?w:Migrate.Workload.t -> unit ->
   Migrate.Image.t
 (** The uninterrupted execution's final image — a pure replay of the
     workload, which is exactly what an unmigrated guest computes. *)
-
-val total_sends : steps:int -> w:Migrate.Workload.t -> int
 
 type handoff = {
   ho_mode : [ `Planned | `Crash ];

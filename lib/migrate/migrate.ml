@@ -1,4 +1,5 @@
 module Faults = Vmk_faults.Faults
+module Machine = Vmk_hw.Machine
 
 (* --- the migrated state --- *)
 
@@ -56,6 +57,8 @@ module Workload = struct
     img.Image.step <- s + 1;
     (!written, (s + 1) mod w.send_every = 0)
 end
+
+let total_sends ~steps ~(w : Workload.t) = steps / w.Workload.send_every
 
 (* --- running a guest around an image --- *)
 
@@ -126,8 +129,6 @@ type session = {
 
 let session ?abort_at ?(link = link ()) () =
   { s_link = link; s_abort_at = abort_at; s_fault = None }
-
-let session_link s = s.s_link
 
 let inject s (a : Faults.mig_action) =
   match a with
@@ -280,3 +281,50 @@ let pp_outcome ppf = function
   | Aborted { a_phase; a_reason } ->
       Format.fprintf ppf "aborted at %s (%s)" (phase_name a_phase)
         (reason_name a_reason)
+
+(* --- results --- *)
+
+type result = {
+  r_outcome : outcome;
+  r_image : Image.t;
+  r_survivor : [ `Src | `Dst ];
+  r_src_log : int list;
+  r_dst_log : int list;
+  r_total_sends : int;
+  r_src_alive : bool;
+  r_logdirty_faults : int;
+  r_handles : (int * int) option;
+  r_window : int64 * int64;
+  r_digest : string;
+}
+
+let result ~src ~dst ~outcome ~image ~survivor ~src_log ~dst_log ~total_sends
+    ~src_alive ~logdirty_faults ~handles ~window =
+  let ints tag l = String.concat " " (tag :: List.map string_of_int l) in
+  let start, stop = window in
+  let digest =
+    Machine.digest src
+      ([
+         Format.asprintf "outcome %a" pp_outcome outcome;
+         ints "image" (Array.to_list image.Image.pages);
+         Printf.sprintf "step %d sent %d" image.Image.step image.Image.sent;
+         ints "src" src_log;
+         ints "dst" dst_log;
+         Printf.sprintf "window %Ld %Ld" start stop;
+       ]
+      @ Option.to_list
+          (Option.map (fun m -> "destination " ^ Machine.digest m []) dst))
+  in
+  {
+    r_outcome = outcome;
+    r_image = image;
+    r_survivor = survivor;
+    r_src_log = src_log;
+    r_dst_log = dst_log;
+    r_total_sends = total_sends;
+    r_src_alive = src_alive;
+    r_logdirty_faults = logdirty_faults;
+    r_handles = handles;
+    r_window = window;
+    r_digest = digest;
+  }

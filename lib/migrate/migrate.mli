@@ -80,6 +80,9 @@ module Workload : sig
       steps from the same image always produces the same states. *)
 end
 
+val total_sends : steps:int -> w:Workload.t -> int
+(** Packets a [steps]-step run of the workload emits. *)
+
 (** {1 Running a guest around an image} *)
 
 type quiesce = { mutable q_req : bool; mutable q_ack : bool }
@@ -144,7 +147,6 @@ type session
     the protocol driver polls at every phase boundary. *)
 
 val session : ?abort_at:phase * abort_reason -> ?link:link -> unit -> session
-val session_link : session -> link
 
 val inject : session -> Vmk_faults.Faults.mig_action -> unit
 (** Deliver a time-based mid-migration fault (wire this as the
@@ -197,3 +199,45 @@ val pp_reason : Format.formatter -> abort_reason -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 val phase_name : phase -> string
 val reason_name : abort_reason -> string
+
+(** {1 Results} *)
+
+type result = {
+  r_outcome : outcome;
+  r_image : Image.t;  (** Final image of the surviving copy. *)
+  r_survivor : [ `Src | `Dst ];
+  r_src_log : int list;  (** Seqs the source-machine sink received, in order. *)
+  r_dst_log : int list;  (** Same for the destination ([] if aborted). *)
+  r_total_sends : int;  (** Packets the whole workload emits. *)
+  r_src_alive : bool;  (** Source guest (domain or task) alive after the run. *)
+  r_logdirty_faults : int;  (** Log-dirty protection faults on the source. *)
+  r_handles : (int * int) option;
+      (** Microkernel only: per-page capability handles at the source and
+          re-established on the destination. *)
+  r_window : int64 * int64;
+      (** Source-clock [(start, end)] of the protocol run — lets a caller
+          aim a time-scheduled {!Vmk_faults.Faults.Mig_fault} into the
+          middle of the migration window deterministically. *)
+  r_digest : string;
+      (** Replay digest: {!Vmk_hw.Machine.digest} of the source machine
+          plus the outcome, every image stamp and counter, both sink
+          logs, the window and the destination machine's digest. Equal
+          digests are bit-for-bit replay. *)
+}
+
+val result :
+  src:Vmk_hw.Machine.t ->
+  dst:Vmk_hw.Machine.t option ->
+  outcome:outcome ->
+  image:Image.t ->
+  survivor:[ `Src | `Dst ] ->
+  src_log:int list ->
+  dst_log:int list ->
+  total_sends:int ->
+  src_alive:bool ->
+  logdirty_faults:int ->
+  handles:(int * int) option ->
+  window:int64 * int64 ->
+  result
+(** Assemble a finished run's result and its digest. [dst] is the
+    destination machine, [None] when the migration aborted. *)

@@ -198,13 +198,6 @@ module Bounded_queue = struct
 
   let pop t = if t.len = 0 then None else Some (take t)
 
-  let drop_head t =
-    if t.len = 0 then false
-    else begin
-      ignore (take t);
-      true
-    end
-
   let length t = t.len
   let capacity t = t.capacity
   let policy t = t.policy
@@ -336,13 +329,6 @@ module Weighted_buckets = struct
 
   let admitted t = t.admitted
   let shed t = t.shed
-
-  let shed_of t ~key =
-    let slot =
-      if key >= 0 && key < Array.length t.dense then t.dense.(key)
-      else Hashtbl.find_opt t.others key
-    in
-    match slot with Some s -> Token_bucket.denied s.tb | None -> 0
 end
 
 module Backoff = struct

@@ -127,10 +127,6 @@ module Bounded_queue : sig
   val push : 'a t -> now:int64 -> 'a -> 'a outcome
   val pop : 'a t -> 'a option
 
-  val drop_head : 'a t -> bool
-  (** Discard the oldest item without materializing it — the
-      allocation-free form of [ignore (pop t)]. [false] when empty. *)
-
   val length : 'a t -> int
   val capacity : 'a t -> int
   val policy : 'a t -> policy
@@ -179,9 +175,6 @@ module Weighted_buckets : sig
 
   val admitted : t -> int
   val shed : t -> int
-
-  val shed_of : t -> key:int -> int
-  (** Sheds charged to one client so far. *)
 end
 
 (** Client retry schedule: exponential backoff with seeded jitter.

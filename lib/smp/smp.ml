@@ -9,7 +9,6 @@ module Engine = Vmk_sim.Engine
 type tid = int
 
 type lock = {
-  lname : string;
   mutable free_at : int64;
       (** Global virtual time at which the previous critical section ends;
           an acquirer arriving earlier spins for the difference. *)
@@ -538,10 +537,9 @@ let shootdown ~pages = ignore (invoke (Shootdown { pages }))
 
 (* --- locks --- *)
 
-let lock_create _t ~name =
-  { lname = name; free_at = 0L; acquisitions = 0; contended = 0; spin_cycles = 0L }
+let lock_create _t =
+  { free_at = 0L; acquisitions = 0; contended = 0; spin_cycles = 0L }
 
-let lock_name lk = lk.lname
 let lock_acquisitions lk = lk.acquisitions
 let lock_contended lk = lk.contended
 let lock_spin_cycles lk = lk.spin_cycles

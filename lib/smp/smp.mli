@@ -102,8 +102,7 @@ val shootdown : pages:int -> unit
 
 (** {1 Locks} *)
 
-val lock_create : t -> name:string -> lock
-val lock_name : lock -> string
+val lock_create : t -> lock
 val lock_acquisitions : lock -> int
 val lock_contended : lock -> int
 (** Acquisitions that found the lock held and had to spin. *)

@@ -38,7 +38,6 @@ let add t x =
   if x > t.max then t.max <- x;
   t.total <- t.total +. x
 
-let add_int t x = add t (float_of_int x)
 let add_int64 t x = add t (Int64.to_float x)
 let count t = t.count
 let mean t = if t.count = 0 then 0.0 else t.mean

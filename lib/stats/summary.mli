@@ -12,7 +12,6 @@ val create : unit -> t
 val add : t -> float -> unit
 (** Record one observation. *)
 
-val add_int : t -> int -> unit
 val add_int64 : t -> int64 -> unit
 
 val count : t -> int

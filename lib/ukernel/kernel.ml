@@ -187,11 +187,6 @@ let dirty_count k tid =
       | Some dirty -> Hashtbl.length dirty
       | None -> 0)
 
-let space_of t tid =
-  match find t tid with
-  | Some tcb -> Hashtbl.find_opt t.spaces tcb.asid
-  | None -> None
-
 let space_exn k asid =
   match Hashtbl.find_opt k.spaces asid with
   | Some s -> s

@@ -91,5 +91,3 @@ val caps : t -> Vmk_cap.Cap.t
     caps in the receiver's space, and revocation (the [Unmap] and
     [Cap_revoke] syscalls, space death) tears mappings down through the
     derivation tree. *)
-
-val space_of : t -> Sysif.tid -> Vmk_hw.Page_table.t option

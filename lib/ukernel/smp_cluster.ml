@@ -53,7 +53,7 @@ let run ?seed cfg =
   let mach = Machine.create ~cpus:cfg.cores ?seed () in
   let arch = mach.Machine.arch in
   let smp = Smp.create mach in
-  let mapdb_lock = Smp.lock_create smp ~name:"mapdb" in
+  let mapdb_lock = Smp.lock_create smp in
   (* Placement: Colocated runs one net server per core next to its
      guests (same-core IPC); Pinned dedicates the first cores to net
      servers, so every server->guest IPC crosses cores and pays IPIs —

@@ -13,7 +13,6 @@ type t = {
   front : Hcall.domid;
   my_port : Hcall.port;
   inflight : (int, pending) Hashtbl.t;  (** disk request id -> pending *)
-  mutable served : int;
 }
 
 (* Generation 0 is the classic handshake under [key/]. A restarted
@@ -63,7 +62,6 @@ let connect_opt ?timeout ?(generation = 0) chan mach () =
                   front;
                   my_port;
                   inflight = Hashtbl.create 16;
-                  served = 0;
                 }
           | exception Hcall.Hcall_error _ -> None))
 
@@ -119,8 +117,5 @@ let try_complete t (request : Disk.request) =
       Hcall.burn per_request_work;
       (try Hcall.grant_unmap ~dom:t.front ~gref with Hcall.Hcall_error _ -> ());
       respond t ring_id request.Disk.ok;
-      t.served <- t.served + 1;
       true
   | None -> false
-
-let requests_served t = t.served

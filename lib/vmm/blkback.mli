@@ -35,5 +35,3 @@ val try_complete : t -> Vmk_hw.Disk.request -> bool
 (** Offer a finished disk request; [true] if it belonged to this backend
     (response pushed, frontend notified). Dom0 drains the disk and routes
     completions through this. *)
-
-val requests_served : t -> int

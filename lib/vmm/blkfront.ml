@@ -11,7 +11,6 @@ type t = {
   mutable my_port : Hcall.port;
   mutable generation : int;
   mutable next_id : int;
-  mutable issued : int;
   mutable dead : bool;
 }
 
@@ -35,7 +34,6 @@ let connect chan ~backend ?(arch = Arch.default) ?(buffers = 8) () =
       my_port = offer;
       generation = 0;
       next_id = 0;
-      issued = 0;
       dead = false;
     }
   in
@@ -78,7 +76,6 @@ let issue t ~op ~sector ~bytes ~tag_for_write =
                 { Blk_channel.id; op; sector; gref; bytes }
             then begin
               Hashtbl.replace t.inflight id (gref, frame);
-              t.issued <- t.issued + 1;
               (try Hcall.evtchn_send t.my_port
                with Hcall.Hcall_error _ -> t.dead <- true);
               if t.dead then None else Some id
@@ -139,7 +136,6 @@ let write t ~mux ~sector ~bytes ~tag ?timeout () =
   | None -> false
   | Some id -> await t ~mux ~id ~timeout <> None
 
-let requests_issued t = t.issued
 let backend_dead t = t.dead
 let generation t = t.generation
 

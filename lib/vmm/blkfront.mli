@@ -39,7 +39,6 @@ val write :
   unit ->
   bool
 
-val requests_issued : t -> int
 val backend_dead : t -> bool
 
 val generation : t -> int

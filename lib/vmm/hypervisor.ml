@@ -239,7 +239,6 @@ let create_domain h ~name ?(privileged = false) ?(weight = 256)
   domid
 
 let is_alive h domid = find_alive h domid <> None
-let domain_name h domid = Option.map (fun d -> d.name) (find h domid)
 
 (* --- driver-domain supervision --- *)
 
@@ -275,11 +274,6 @@ let supervise h ~name ?(privileged = false) ?(weight = 256)
       end);
   sup
 
-let domain_count h =
-  Hashtbl.fold
-    (fun _ d acc -> if d.state <> Dead then acc + 1 else acc)
-    h.domains 0
-
 let state_name h domid =
   match find h domid with
   | None -> "missing"
@@ -290,22 +284,11 @@ let state_name h domid =
       | Blocked -> "blocked"
       | Dead -> "dead")
 
-let pending_event_count h domid =
-  match find h domid with
-  | Some d -> Hashtbl.length d.pending_events
-  | None -> 0
-
 let is_paused h domid =
   match find h domid with Some d -> d.paused | None -> false
 
 let dirty_count h domid =
   match find h domid with Some d -> Hashtbl.length d.dirty | None -> 0
-
-let runnable_names h =
-  Hashtbl.fold
-    (fun _ d acc -> if d.state = Ready then d.name :: acc else acc)
-    h.domains []
-  |> List.sort compare
 
 (* --- cost helpers --- *)
 

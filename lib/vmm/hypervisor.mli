@@ -108,14 +108,9 @@ val restarts : supervisor -> (int64 * Hcall.domid) list
 val stop_supervisor : supervisor -> unit
 
 val is_alive : t -> Hcall.domid -> bool
-val domain_name : t -> Hcall.domid -> string option
-val domain_count : t -> int
-(** Live domains. *)
 
 val state_name : t -> Hcall.domid -> string
 (** ["ready"|"running"|"blocked"|"dead"|"missing"]. *)
-
-val pending_event_count : t -> Hcall.domid -> int
 
 val is_paused : t -> Hcall.domid -> bool
 (** Paused domains keep their state but are excluded from scheduling
@@ -123,6 +118,3 @@ val is_paused : t -> Hcall.domid -> bool
 
 val dirty_count : t -> Hcall.domid -> int
 (** Pages currently marked in the domain's log-dirty bitmap. *)
-
-val runnable_names : t -> string list
-(** Names currently in the run queue (diagnostics). *)

@@ -80,7 +80,6 @@ type t = {
           result is bounced to the frontend as the ECN mark. *)
   mutable rx_delivered : int;
   mutable tx_forwarded : int;
-  mutable dropped_nobuf : int;
   mutable rx_shed : int;
   mutable dirty : bool;  (** Responses pushed since the last notify. *)
 }
@@ -161,7 +160,6 @@ let connect_opt ?timeout ?(generation = 0) ?admit ?fair ?napi
                   tx_handler = None;
                   rx_delivered = 0;
                   tx_forwarded = 0;
-                  dropped_nobuf = 0;
                   rx_shed = 0;
                   dirty = false;
                 }
@@ -266,7 +264,6 @@ let deliver_flip t (ev : Nic.rx_event) =
   else
     match Queue.take_opt t.flip_posts with
     | None ->
-        t.dropped_nobuf <- t.dropped_nobuf + 1;
         Counter.incr_id t.mach.Machine.counters t.ids.id_rx_nobuf;
         (* Accepted payload discarded: a real drop (was uncounted). *)
         Counter.incr_id t.mach.Machine.counters t.ids.id_drop;
@@ -298,7 +295,6 @@ let deliver_copy t (ev : Nic.rx_event) =
   else
     match Queue.take_opt t.copy_grants with
     | None ->
-        t.dropped_nobuf <- t.dropped_nobuf + 1;
         Counter.incr_id t.mach.Machine.counters t.ids.id_rx_nobuf;
         (* Accepted payload discarded: a real drop (was uncounted). *)
         Counter.incr_id t.mach.Machine.counters t.ids.id_drop;
@@ -395,7 +391,6 @@ let deliver_batch t evs =
 let deliver_pkt t ~len ~tag =
   match Queue.take_opt t.pool with
   | None ->
-      t.dropped_nobuf <- t.dropped_nobuf + 1;
       Counter.incr_id t.mach.Machine.counters t.ids.id_rx_nobuf;
       Counter.incr_id t.mach.Machine.counters t.ids.id_drop;
       false
@@ -505,9 +500,4 @@ let handle_nic t =
 
 let rx_delivered t = t.rx_delivered
 let tx_forwarded t = t.tx_forwarded
-let rx_dropped_nobuf t = t.dropped_nobuf
 let rx_shed t = t.rx_shed
-
-let ring_drops t =
-  Ring.dropped_total t.chan.Net_channel.tx_ring
-  + Ring.dropped_total t.chan.Net_channel.rx_ring

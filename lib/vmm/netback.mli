@@ -114,14 +114,6 @@ val flush : t -> unit
 
 val rx_delivered : t -> int
 val tx_forwarded : t -> int
-val rx_dropped_nobuf : t -> int
-(** Packets dropped because the frontend left the backend without
-    buffers (copy mode) — back-pressure under overload. *)
 
 val rx_shed : t -> int
 (** Packets shed at the admission gate before delivery work. *)
-
-val ring_drops : t -> int
-(** Total ring-full rejections on this channel's two rings, both
-    directions and both sides (the E15 itemization of what {!Ring}
-    previously dropped silently). *)

@@ -16,8 +16,6 @@ type ('req, 'resp) t = {
   capacity : int;
   reqs : 'req buf;
   resps : 'resp buf;
-  mutable req_total : int;
-  mutable resp_total : int;
   mutable req_dropped : int;
   mutable resp_dropped : int;
   mutable limit : int option;
@@ -31,8 +29,6 @@ let create ~capacity () =
     capacity;
     reqs = { slots = [||]; head = 0; len = 0 };
     resps = { slots = [||]; head = 0; len = 0 };
-    req_total = 0;
-    resp_total = 0;
     req_dropped = 0;
     resp_dropped = 0;
     limit = None;
@@ -83,7 +79,6 @@ let push_request t req =
   end
   else begin
     buf_push t.reqs ~capacity:t.capacity req;
-    t.req_total <- t.req_total + 1;
     true
   end
 
@@ -97,17 +92,11 @@ let push_response t resp =
   end
   else begin
     buf_push t.resps ~capacity:t.capacity resp;
-    t.resp_total <- t.resp_total + 1;
     true
   end
 
 let pop_response t = buf_pop t.resps
-let requests_pending t = t.reqs.len
-let responses_pending t = t.resps.len
-let request_space t = max 0 (effective_capacity t - t.reqs.len)
 let response_space t = max 0 (effective_capacity t - t.resps.len)
-let requests_total t = t.req_total
-let responses_total t = t.resp_total
 let request_dropped_total t = t.req_dropped
 let response_dropped_total t = t.resp_dropped
 let dropped_total t = t.req_dropped + t.resp_dropped

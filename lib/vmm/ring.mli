@@ -49,21 +49,11 @@ val push_request : ('req, 'resp) t -> 'req -> bool
 val pop_request : ('req, 'resp) t -> 'req option
 val push_response : ('req, 'resp) t -> 'resp -> bool
 val pop_response : ('req, 'resp) t -> 'resp option
-val requests_pending : ('req, 'resp) t -> int
-val responses_pending : ('req, 'resp) t -> int
-
-val request_space : ('req, 'resp) t -> int
-(** Free request slots under the effective capacity. *)
 
 val response_space : ('req, 'resp) t -> int
 (** Free response slots — backends check this {e before} doing
     irreversible work (grant exchange) so a full response ring is an
     explicit cheap drop, not a leaked frame. *)
-
-val requests_total : ('req, 'resp) t -> int
-(** Requests ever pushed (throughput accounting). *)
-
-val responses_total : ('req, 'resp) t -> int
 
 val request_dropped_total : ('req, 'resp) t -> int
 (** Request pushes rejected because the ring was full. *)

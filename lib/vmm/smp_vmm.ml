@@ -53,7 +53,7 @@ let run ?seed cfg =
   let mach = Machine.create ~cpus:cfg.cores ?seed () in
   let arch = mach.Machine.arch in
   let smp = Smp.create mach in
-  let gnt_lock = Smp.lock_create smp ~name:"grant" in
+  let gnt_lock = Smp.lock_create smp in
   (* Backend layout: Single_dom0 serializes every page flip through one
      domain on core 0 (guests on the remaining cores); Driver_domains
      gives each core its own driver with a private grant table, leaving

@@ -470,8 +470,6 @@ module Switch = struct
     mutable q_buf : int array;  (* length = 4 * slot count *)
     mutable q_head : int;  (* slot index *)
     mutable q_count : int;
-    mutable p_in : int;
-    mutable p_out : int;
     (* Per-source-port route memo (flow pinning): the last resolved
        (src, dst) -> destination port, plus the source's MAC slot, all
        valid only while both tables' [gen] counters still match the
@@ -577,7 +575,7 @@ module Switch = struct
     let cap = min t.port_capacity 4 in
     let p =
       { id; q_buf = Array.make (4 * cap) 0; q_head = 0; q_count = 0;
-        p_in = 0; p_out = 0; m_src = -1; m_dst = -1; m_out = 0;
+        m_src = -1; m_dst = -1; m_out = 0;
         m_mi = 0; m_mgen = -1; m_fgen = -1 }
     in
     t.by_id.(id) <- Some p;
@@ -635,7 +633,6 @@ module Switch = struct
       if port.q_count >= q_slots port then grow_ring t port;
       q_store port ~at:(port.q_head + port.q_count) ~src ~dst ~len ~tag;
       port.q_count <- port.q_count + 1;
-      port.p_out <- port.p_out + 1;
       t.forwarded <- t.forwarded + 1;
       true
     end
@@ -645,7 +642,6 @@ module Switch = struct
           port.q_head <-
             (if port.q_head + 1 >= q_slots port then 0 else port.q_head + 1);
           q_store port ~at:(port.q_head + port.q_count - 1) ~src ~dst ~len ~tag;
-          port.p_out <- port.p_out + 1;
           t.forwarded <- t.forwarded + 1;
           t.dropped <- t.dropped + 1;
           note t t.id_drop;
@@ -667,8 +663,7 @@ module Switch = struct
      The returned [delivery] record is the switch's reusable scratch —
      read it before the next [forward] on this switch. *)
   let forward_general t ~now ~in_port ~src ~dst ~len ~tag =
-    let src_port = port_exn t in_port in
-    src_port.p_in <- src_port.p_in + 1;
+    ignore (port_exn t in_port : port);
     Mac_table.learn t.mac ~now ~mac:src ~port:in_port;
     let r = t.scratch in
     r.enqueued <- 0;
@@ -744,9 +739,8 @@ module Switch = struct
      general path would have produced for a resident unicast flow-hit
      with room in the destination ring. [mi] is the source's MAC slot
      (its [seen] refresh is the [learn]). *)
-  let[@inline] fast_commit t sp (mt : Mac_table.t) mi (fc : Flow_cache.t) out
+  let[@inline] fast_commit t (mt : Mac_table.t) mi (fc : Flow_cache.t) out
       ~now ~src ~dst ~len ~tag =
-    sp.p_in <- sp.p_in + 1;
     Array.unsafe_set mt.Mac_table.seen mi (Int64.to_int now);
     fc.Flow_cache.hits <- fc.Flow_cache.hits + 1;
     if t.has_burn then begin
@@ -756,7 +750,6 @@ module Switch = struct
     note t t.id_flow_hit;
     q_store out ~at:(out.q_head + out.q_count) ~src ~dst ~len ~tag;
     out.q_count <- out.q_count + 1;
-    out.p_out <- out.p_out + 1;
     t.forwarded <- t.forwarded + 1;
     let r = t.scratch in
     r.enqueued <- 1;
@@ -793,7 +786,7 @@ module Switch = struct
               sp.m_mi <- mi;
               sp.m_mgen <- mt.Mac_table.gen;
               sp.m_fgen <- fc.Flow_cache.gen;
-              fast_commit t sp mt mi fc out ~now ~src ~dst ~len ~tag
+              fast_commit t mt mi fc out ~now ~src ~dst ~len ~tag
           | Some _ | None ->
               forward_general t ~now ~in_port ~src ~dst ~len ~tag
         else forward_general t ~now ~in_port ~src ~dst ~len ~tag
@@ -830,8 +823,8 @@ module Switch = struct
                slot 0 (broadcast) is always [None]. *)
             match Array.unsafe_get by_id sp.m_out with
             | Some out when out.q_count lsl 2 < Array.length out.q_buf ->
-                fast_commit t sp t.mac sp.m_mi t.flows out ~now ~src ~dst
-                  ~len ~tag
+                fast_commit t t.mac sp.m_mi t.flows out ~now ~src ~dst ~len
+                  ~tag
             | Some _ | None ->
                 forward_general t ~now ~in_port ~src ~dst ~len ~tag
           else fast_scan t sp ~now ~in_port ~src ~dst ~len ~tag)
@@ -867,8 +860,6 @@ module Switch = struct
 
   let port_marked t ~port = q_marked t (port_exn t port)
 
-  let rx_of t ~port = (port_exn t port).p_in
-  let tx_of t ~port = (port_exn t port).p_out
   let mac_table t = t.mac
   let flow_cache t = t.flows
   let forwarded t = t.forwarded

@@ -159,11 +159,6 @@ module Switch : sig
 
   val pending : t -> port:int -> int
   val port_marked : t -> port:int -> bool
-  val rx_of : t -> port:int -> int
-  (** Packets this port sent {e into} the switch. *)
-
-  val tx_of : t -> port:int -> int
-  (** Packets queued for delivery {e out of} this port. *)
 
   val mac_table : t -> Mac_table.t
   val flow_cache : t -> Flow_cache.t

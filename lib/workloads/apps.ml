@@ -53,8 +53,9 @@ let net_rx_stream ?stats ~packets () () =
 (* The E15 overload probe: receive until [packets] have arrived or the
    stack errors out (timeout after the traffic ends), recording each
    packet's (tag, virtual arrival time) so the experiment can compute
-   per-packet latency against the injection times. *)
-let net_rx_probe ?stats ~now ~record ~packets () () =
+   per-packet latency against the injection times. [work] models a slow
+   consumer (E17's fair-share and ECN receivers). *)
+let net_rx_probe ?stats ?(work = 0) ~now ~record ~packets () () =
   let st = match stats with Some s -> s | None -> default () in
   let rec loop remaining =
     if remaining > 0 then
@@ -62,22 +63,26 @@ let net_rx_probe ?stats ~now ~record ~packets () () =
         attempt st (fun () ->
             let len, tag = Sys_g.net_recv () in
             record ~tag ~at:(now ());
+            if work > 0 then Sys_g.burn work;
             len)
       then loop (remaining - 1)
   in
   loop packets
 
-let net_tx_stream ?stats ~packets ~len () () =
+(* The paced vnet sender (E17-E19). A failed send is counted and
+   skipped, not retried; exiting with transmits still queued would
+   strand them, so the stream drains before it returns. *)
+let net_tx_stream ?stats ~settle ~pace ~src ~dst ~packets ~len () () =
   let st = match stats with Some s -> s | None -> default () in
-  let rec loop i =
-    if i < packets then
-      if
-        attempt st (fun () ->
-            Sys_g.net_send ~len ~tag:(600_000 + i);
-            len)
-      then loop (i + 1)
-  in
-  loop 0
+  if settle > 0 then Sys_g.burn settle;
+  for seq = 0 to packets - 1 do
+    ignore
+      (attempt st (fun () ->
+           Sys_g.net_send ~len ~tag:(Sys_g.vnet_tag ~src ~dst ~seq);
+           len));
+    if pace > 0 then Sys_g.burn pace
+  done;
+  try Sys_g.net_drain () with Sys_g.Sys_error _ -> ()
 
 let blk_mix ?stats ?(base = 0) ~ops ~span ~seed () () =
   let st = match stats with Some s -> s | None -> default () in

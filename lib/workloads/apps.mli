@@ -30,6 +30,7 @@ val net_rx_stream :
 
 val net_rx_probe :
   ?stats:stats ->
+  ?work:int ->
   now:(unit -> int64) ->
   record:(tag:int -> at:int64 -> unit) ->
   packets:int ->
@@ -39,11 +40,28 @@ val net_rx_probe :
 (** Like {!net_rx_stream}, but reports each packet's tag and virtual
     arrival time through [record] — paired with
     {!Traffic.constant_rate}'s [on_inject] this yields the per-packet
-    latency distribution E15's degradation curves are built from. Stops
+    latency distribution E15's degradation curves are built from.
+    [work] cycles of user work follow each arrival (default 0). Stops
     at [packets] or on the first receive error. *)
 
 val net_tx_stream :
-  ?stats:stats -> packets:int -> len:int -> unit -> unit -> unit
+  ?stats:stats ->
+  settle:int ->
+  pace:int ->
+  src:int ->
+  dst:int ->
+  packets:int ->
+  len:int ->
+  unit ->
+  unit ->
+  unit
+(** The paced inter-guest sender (E17-E19): [settle] cycles of user
+    work, then [packets] sends of [len] bytes tagged
+    {!Vmk_guest.Sys.vnet_tag}[ ~src ~dst ~seq] for [seq = 0 ..
+    packets-1], each followed by [pace] cycles of work. A failed send
+    counts as an error and is skipped, so [completed] is the number of
+    packets the stack accepted. The transmit queue is drained before
+    the body returns. *)
 
 val blk_mix :
   ?stats:stats ->

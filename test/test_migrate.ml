@@ -183,36 +183,32 @@ let test_workload_determinism () =
 (* Checkpoint/restore end to end: stop-and-copy on each stack, then the
    destination replay must equal the uninterrupted execution, with every
    packet sequence number delivered exactly once across both sinks. *)
-let exactly_once ~total ~src_log ~dst_log =
-  List.sort compare (src_log @ dst_log) = List.init total Fun.id
+let exactly_once (r : Migrate.result) =
+  List.sort compare (r.r_src_log @ r.r_dst_log)
+  = List.init r.r_total_sends Fun.id
+
+let check_restored ~pages ~steps (r : Migrate.result) =
+  checkb "completed" true
+    (match r.r_outcome with Migrate.Completed _ -> true | _ -> false);
+  checkb "destination survives" true (r.r_survivor = `Dst);
+  checkb "source destroyed" false r.r_src_alive;
+  checkb "replay bit-for-bit" true
+    (Image.equal r.r_image (Mig_vmm.reference ~pages ~steps ()));
+  checkb "packets exactly once" true (exactly_once r)
 
 let test_checkpoint_restore_vmm () =
   let pages = 16 and steps = 120 in
   let r = Mig_vmm.migrate ~pages ~steps ~cfg:Migrate.stop_and_copy () in
-  checkb "completed" true
-    (match r.Mig_vmm.r_outcome with Migrate.Completed _ -> true | _ -> false);
-  checkb "destination survives" true (r.Mig_vmm.r_survivor = `Dst);
-  checkb "source destroyed" false r.Mig_vmm.r_src_guest_alive;
-  checkb "replay bit-for-bit" true
-    (Image.equal r.Mig_vmm.r_image (Mig_vmm.reference ~pages ~steps ()));
-  checkb "packets exactly once" true
-    (exactly_once ~total:r.Mig_vmm.r_total_sends ~src_log:r.Mig_vmm.r_src_log
-       ~dst_log:r.Mig_vmm.r_dst_log)
+  check_restored ~pages ~steps r;
+  checkb "no capability handles on the VMM" true (r.r_handles = None)
 
 let test_checkpoint_restore_uk () =
   let pages = 16 and steps = 120 in
   let r = Mig_uk.migrate ~pages ~steps ~cfg:Migrate.stop_and_copy () in
-  checkb "completed" true
-    (match r.Mig_uk.r_outcome with Migrate.Completed _ -> true | _ -> false);
-  checkb "destination survives" true (r.Mig_uk.r_survivor = `Dst);
-  checkb "source task killed" false r.Mig_uk.r_src_task_alive;
-  checkb "replay bit-for-bit" true
-    (Image.equal r.Mig_uk.r_image (Mig_vmm.reference ~pages ~steps ()));
-  checkb "packets exactly once" true
-    (exactly_once ~total:r.Mig_uk.r_total_sends ~src_log:r.Mig_uk.r_src_log
-       ~dst_log:r.Mig_uk.r_dst_log);
-  checki "capability handles re-established" r.Mig_uk.r_handles_src
-    r.Mig_uk.r_handles_dst
+  check_restored ~pages ~steps r;
+  match r.r_handles with
+  | Some (src, dst) -> checki "capability handles re-established" src dst
+  | None -> Alcotest.fail "L4 reports its capability handles"
 
 (* Pre-copy end to end on both stacks: converges under the round budget
    and still replays bit-for-bit. *)
@@ -225,22 +221,26 @@ let test_precopy_both_stacks () =
     match r with Migrate.Completed { c_rounds; _ } -> c_rounds | _ -> -1
   in
   checkb "vmm converged" true
-    (rounds rv.Mig_vmm.r_outcome >= 2
-    && rounds rv.Mig_vmm.r_outcome <= 6 + 2);
+    (rounds rv.r_outcome >= 2 && rounds rv.r_outcome <= 6 + 2);
   checkb "uk converged" true
-    (rounds ru.Mig_uk.r_outcome >= 2 && rounds ru.Mig_uk.r_outcome <= 6 + 2);
+    (rounds ru.r_outcome >= 2 && rounds ru.r_outcome <= 6 + 2);
   checkb "vmm replay" true
-    (Image.equal rv.Mig_vmm.r_image (Mig_vmm.reference ~pages ~steps ()));
+    (Image.equal rv.r_image (Mig_vmm.reference ~pages ~steps ()));
   checkb "uk replay" true
-    (Image.equal ru.Mig_uk.r_image (Mig_vmm.reference ~pages ~steps ()));
-  checkb "vmm dirty tracking used" true (rv.Mig_vmm.r_logdirty_faults > 0);
-  checkb "uk dirty tracking used" true (ru.Mig_uk.r_logdirty_faults > 0)
+    (Image.equal ru.r_image (Mig_vmm.reference ~pages ~steps ()));
+  checkb "vmm dirty tracking used" true (rv.r_logdirty_faults > 0);
+  checkb "uk dirty tracking used" true (ru.r_logdirty_faults > 0)
 
-(* Two identical runs are structurally identical — the determinism the
-   replay verdict and the kill-window probe both lean on. *)
-let test_determinism_uk () =
-  let go () = Mig_uk.migrate ~pages:16 ~steps:120 () in
-  checkb "identical runs" true (go () = go ())
+(* Two identical runs replay bit-for-bit on both stacks — the
+   determinism the replay verdict and the kill-window probe both lean
+   on. The digest covers both machines' counters and accounts, not just
+   the result fields. *)
+let test_determinism () =
+  let same name (go : unit -> Migrate.result) =
+    Alcotest.(check string) name (go ()).r_digest (go ()).r_digest
+  in
+  same "vmm digests" (fun () -> Mig_vmm.migrate ~pages:16 ~steps:120 ());
+  same "uk digests" (fun () -> Mig_uk.migrate ~pages:16 ~steps:120 ())
 
 (* The qcheck satellite: whatever (phase, reason) the abort lands on,
    on either stack, the run resolves to exactly one live consistent
@@ -257,29 +257,19 @@ let prop_abort_anywhere_exactly_once =
         (oneofl [ Migrate.Src_dead; Migrate.Dst_reject; Migrate.Link_drop ]))
     (fun (vmm, phase, reason) ->
       let abort_at = (phase, reason) in
-      let outcome, image, survivor, src_log, dst_log, total, src_alive =
-        if vmm then
-          let r = Mig_vmm.migrate ~pages ~steps ~abort_at () in
-          ( r.Mig_vmm.r_outcome, r.Mig_vmm.r_image, r.Mig_vmm.r_survivor,
-            r.Mig_vmm.r_src_log, r.Mig_vmm.r_dst_log,
-            r.Mig_vmm.r_total_sends, r.Mig_vmm.r_src_guest_alive )
-        else
-          let r = Mig_uk.migrate ~pages ~steps ~abort_at () in
-          ( r.Mig_uk.r_outcome, r.Mig_uk.r_image, r.Mig_uk.r_survivor,
-            r.Mig_uk.r_src_log, r.Mig_uk.r_dst_log, r.Mig_uk.r_total_sends,
-            r.Mig_uk.r_src_task_alive )
-      in
-      let consistent = Image.equal image (Lazy.force reference) in
-      let conserved = exactly_once ~total ~src_log ~dst_log in
-      match outcome with
+      let migrate = if vmm then Mig_vmm.migrate else Mig_uk.migrate in
+      let r : Migrate.result = migrate ~pages ~steps ~abort_at () in
+      let consistent = Image.equal r.r_image (Lazy.force reference) in
+      let conserved = exactly_once r in
+      match r.r_outcome with
       | Migrate.Aborted { a_phase; _ } ->
-          a_phase = phase && survivor = `Src && dst_log = [] && consistent
-          && conserved
+          a_phase = phase && r.r_survivor = `Src && r.r_dst_log = []
+          && consistent && conserved
       | Migrate.Completed _ ->
           (* Unreachable with abort_at set on these phases, but if the
              protocol ever completed anyway the destination must be the
              sole survivor. *)
-          survivor = `Dst && (not src_alive) && consistent && conserved)
+          r.r_survivor = `Dst && (not r.r_src_alive) && consistent && conserved)
 
 let suite =
   [
@@ -300,6 +290,6 @@ let suite =
       test_checkpoint_restore_uk;
     Alcotest.test_case "pre-copy converges and replays on both stacks" `Quick
       test_precopy_both_stacks;
-    Alcotest.test_case "migration is deterministic" `Quick test_determinism_uk;
+    Alcotest.test_case "migration is deterministic" `Quick test_determinism;
     QCheck_alcotest.to_alcotest prop_abort_anywhere_exactly_once;
   ]

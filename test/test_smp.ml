@@ -73,7 +73,7 @@ let test_spinlock_contention () =
   let run () =
     let mach = Machine.create ~cpus:4 ~seed:7L () in
     let smp = Smp.create mach in
-    let lk = Smp.lock_create smp ~name:"shared" in
+    let lk = Smp.lock_create smp in
     for cpu = 0 to 3 do
       ignore
         (Smp.spawn smp
