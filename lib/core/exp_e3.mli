@@ -31,4 +31,4 @@ val sweep :
   period:int64 ->
   sizes:int list ->
   point list
-(** One run per packet size; exposed for tests and the bench harness. *)
+(** One run per packet size; exposed for tests and examples. *)

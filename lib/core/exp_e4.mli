@@ -20,4 +20,4 @@ type row = {
 }
 
 val measure : ?iterations:int -> unit -> row list
-(** Exposed for tests and the bench harness. *)
+(** Exposed for tests and examples. *)

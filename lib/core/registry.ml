@@ -20,7 +20,6 @@ let all =
     Exp_e18.experiment;
     Exp_e19.experiment;
     Exp_e20.experiment;
-    Exp_e21.experiment;
     Exp_e22.experiment;
     Exp_e3.ablation;
     Exp_e2.ablation;

@@ -37,7 +37,7 @@ let slice mach ~sole k th left =
         <= 0
       in
       if fits && sole k th && not (Irq.any_pending mach.Machine.irq) then begin
-        Engine.note_burst eng (Int64.of_int (whole - timeslice));
+        Engine.note_burst eng;
         whole
       end
       else timeslice

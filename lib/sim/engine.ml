@@ -1,13 +1,11 @@
 type t = {
   clock : Clock.t;
   queue : (unit -> unit) Heap.t;
-  (* Tickless bookkeeping (E21): how much virtual time was jumped over
+  (* Tickless bookkeeping (E21): how often virtual time was jumped over
      instead of being stepped through quantum by quantum. Plain fields,
      not counters, so enabling them cannot perturb experiment dumps. *)
   mutable idle_jumps : int;
-  mutable idle_skipped : int64;
   mutable burst_jumps : int;
-  mutable burst_skipped : int64;
 }
 
 let create () =
@@ -15,9 +13,7 @@ let create () =
     clock = Clock.create ();
     queue = Heap.create ();
     idle_jumps = 0;
-    idle_skipped = 0L;
     burst_jumps = 0;
-    burst_skipped = 0L;
   }
 let clock t = t.clock
 let now t = Clock.now t.clock
@@ -56,18 +52,10 @@ let next_due t = Heap.min_time t.queue
 
 let[@inline] next_due_or t default = Heap.min_time_or t.queue default
 
-let note_burst t cycles =
-  t.burst_jumps <- t.burst_jumps + 1;
-  t.burst_skipped <- Int64.add t.burst_skipped cycles
-
-let note_idle t cycles =
-  t.idle_jumps <- t.idle_jumps + 1;
-  t.idle_skipped <- Int64.add t.idle_skipped cycles
-
+let note_burst t = t.burst_jumps <- t.burst_jumps + 1
+let note_idle t = t.idle_jumps <- t.idle_jumps + 1
 let idle_jumps t = t.idle_jumps
-let idle_skipped t = t.idle_skipped
 let burst_jumps t = t.burst_jumps
-let burst_skipped t = t.burst_skipped
 
 let dispatch_due t =
   (* Allocation-free drain: no option/pair boxes on the per-event
@@ -85,11 +73,7 @@ let idle_to_next t =
   match Heap.min_time t.queue with
   | None -> false
   | Some time ->
-      let skipped = Int64.sub time (now t) in
-      if Int64.compare skipped 0L > 0 then begin
-        t.idle_jumps <- t.idle_jumps + 1;
-        t.idle_skipped <- Int64.add t.idle_skipped skipped
-      end;
+      if Int64.compare time (now t) > 0 then note_idle t;
       Clock.advance_to t.clock time;
       dispatch_due t;
       true

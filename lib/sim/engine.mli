@@ -50,27 +50,21 @@ val next_due_or : t -> int64 -> int64
     the allocation-free form the tickless executors poll every
     dispatch. *)
 
-val note_burst : t -> int64 -> unit
-(** Record that an executor fast-forwarded a compute burst of the given
-    length in one step instead of slicing it into quanta (E21). Pure
-    bookkeeping — reported by {!burst_jumps} / {!burst_skipped}, never
-    printed by experiments. *)
+val note_burst : t -> unit
+(** Record that an executor fast-forwarded a compute burst in one step
+    instead of slicing it into quanta (E21). Pure bookkeeping —
+    reported by {!burst_jumps}, never printed by experiments. *)
 
-val note_idle : t -> int64 -> unit
+val note_idle : t -> unit
 (** Record an idle-quantum skip performed by an executor's own jump
     (the SMP round loop); {!idle_to_next} records its own. *)
 
 val idle_jumps : t -> int
-(** How many times {!idle_to_next} jumped the clock forward. *)
-
-val idle_skipped : t -> int64
-(** Total virtual cycles {!idle_to_next} jumped over. *)
+(** How many idle gaps were jumped: by {!idle_to_next} moving the clock
+    forward, or by an executor's {!note_idle}. *)
 
 val burst_jumps : t -> int
 (** How many compute bursts were fast-forwarded ({!note_burst}). *)
-
-val burst_skipped : t -> int64
-(** Total virtual cycles fast-forwarded through compute bursts. *)
 
 val burn : t -> int64 -> unit
 (** [burn t cycles] advances the clock by [cycles] and dispatches any events

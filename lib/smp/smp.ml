@@ -506,7 +506,7 @@ let run ?until ?(max_rounds = 2_000_000) ?(tickless = true) t =
             let step =
               if tickless then begin
                 if Int64.compare delta q > 0 then begin
-                  Engine.note_idle eng (Int64.sub delta q);
+                  Engine.note_idle eng;
                   refill t (Int64.to_int (Int64.div (Int64.sub delta 1L) q))
                 end;
                 delta

@@ -1,4 +1,4 @@
-(* Streaming quantile estimators for datacenter-scale runs (E22).
+(* A streaming quantile sketch for datacenter-scale runs (E22).
 
    [Sketch] is an HDR-histogram-style log-linear bucket sketch over
    non-negative integer samples (cycle latencies): fixed memory, O(1)
@@ -7,12 +7,7 @@
    bucket addition, so merge-of-shards is bit-identical to feeding one
    sketch the concatenated stream in any order. That property is what
    lets Exp_e22 keep one sketch per SMP core with no cross-core locks
-   and still report global p50/p99/p999.
-
-   [P2] is the classic Jain & Chlamtac P-squared estimator (CACM '85):
-   five markers, parabolic interpolation, O(1) memory for a *single*
-   pre-declared quantile. Kept as the textbook alternative and for
-   spot-checking the bucket sketch; it is not mergeable. *)
+   and still report global p50/p99/p999. *)
 
 module Sketch = struct
   type t = {
@@ -21,7 +16,6 @@ module Sketch = struct
     mutable count : int;
     mutable min : int;
     mutable max : int;
-    mutable sum : float;
   }
 
   let nbuckets bits =
@@ -38,7 +32,6 @@ module Sketch = struct
       count = 0;
       min = max_int;
       max = 0;
-      sum = 0.0;
     }
 
   let[@inline] msb v =
@@ -72,13 +65,11 @@ module Sketch = struct
     t.counts.(index t v) <- t.counts.(index t v) + 1;
     t.count <- t.count + 1;
     if v < t.min then t.min <- v;
-    if v > t.max then t.max <- v;
-    t.sum <- t.sum +. float_of_int v
+    if v > t.max then t.max <- v
 
   let count t = t.count
   let min_value t = if t.count = 0 then 0 else t.min
   let max_value t = t.max
-  let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
 
   let quantile t q =
     if q < 0.0 || q > 1.0 then invalid_arg "Quantile.Sketch.quantile: q";
@@ -118,8 +109,7 @@ module Sketch = struct
     if src.count > 0 then begin
       if src.min < into.min then into.min <- src.min;
       if src.max > into.max then into.max <- src.max
-    end;
-    into.sum <- into.sum +. src.sum
+    end
 
   let fingerprint t =
     let h = ref (Hashtbl.hash (t.bits, t.count, t.min, t.max)) in
@@ -127,111 +117,4 @@ module Sketch = struct
       (fun i c -> if c > 0 then h := Hashtbl.hash (!h, i, c))
       t.counts;
     !h
-end
-
-module P2 = struct
-  type t = {
-    p : float;
-    q : float array; (* marker heights *)
-    n : int array; (* marker positions (1-based ranks) *)
-    np : float array; (* desired positions *)
-    dn : float array; (* desired-position increments *)
-    mutable count : int;
-    init : float array; (* first five observations, pre-steady-state *)
-  }
-
-  let create p =
-    if p <= 0.0 || p >= 1.0 then invalid_arg "Quantile.P2.create: p in (0,1)";
-    {
-      p;
-      q = Array.make 5 0.0;
-      n = [| 1; 2; 3; 4; 5 |];
-      np = [| 1.0; 1.0 +. (2.0 *. p); 1.0 +. (4.0 *. p); 3.0 +. (2.0 *. p); 5.0 |];
-      dn = [| 0.0; p /. 2.0; p; (1.0 +. p) /. 2.0; 1.0 |];
-      count = 0;
-      init = Array.make 5 0.0;
-    }
-
-  let parabolic t i d =
-    let q = t.q and n = t.n in
-    let fi = float_of_int in
-    q.(i)
-    +. d
-       /. fi (n.(i + 1) - n.(i - 1))
-       *. (((fi (n.(i) - n.(i - 1)) +. d)
-            *. (q.(i + 1) -. q.(i))
-            /. fi (n.(i + 1) - n.(i)))
-          +. ((fi (n.(i + 1) - n.(i)) -. d)
-             *. (q.(i) -. q.(i - 1))
-             /. fi (n.(i) - n.(i - 1))))
-
-  let linear t i d =
-    let j = i + int_of_float d in
-    t.q.(i) +. (d *. (t.q.(j) -. t.q.(i)) /. float_of_int (t.n.(j) - t.n.(i)))
-
-  let add t x =
-    if t.count < 5 then begin
-      t.init.(t.count) <- x;
-      t.count <- t.count + 1;
-      if t.count = 5 then begin
-        Array.sort compare t.init;
-        Array.blit t.init 0 t.q 0 5
-      end
-    end
-    else begin
-      let k =
-        if x < t.q.(0) then begin
-          t.q.(0) <- x;
-          0
-        end
-        else if x >= t.q.(4) then begin
-          t.q.(4) <- x;
-          3
-        end
-        else begin
-          let k = ref 0 in
-          for i = 1 to 3 do
-            if x >= t.q.(i) then k := i
-          done;
-          !k
-        end
-      in
-      for i = k + 1 to 4 do
-        t.n.(i) <- t.n.(i) + 1
-      done;
-      for i = 0 to 4 do
-        t.np.(i) <- t.np.(i) +. t.dn.(i)
-      done;
-      (* Adjust interior markers toward their desired positions. *)
-      for i = 1 to 3 do
-        let d = t.np.(i) -. float_of_int t.n.(i) in
-        if
-          (d >= 1.0 && t.n.(i + 1) - t.n.(i) > 1)
-          || (d <= -1.0 && t.n.(i - 1) - t.n.(i) < -1)
-        then begin
-          let s = if d >= 0.0 then 1.0 else -1.0 in
-          let qi = parabolic t i s in
-          let qi =
-            if t.q.(i - 1) < qi && qi < t.q.(i + 1) then qi else linear t i s
-          in
-          t.q.(i) <- qi;
-          t.n.(i) <- t.n.(i) + int_of_float s
-        end
-      done;
-      t.count <- t.count + 1
-    end
-
-  let count t = t.count
-
-  let value t =
-    if t.count = 0 then 0.0
-    else if t.count < 5 then begin
-      (* Pre-steady-state: exact nearest-rank over the buffered samples. *)
-      let buf = Array.sub t.init 0 t.count in
-      Array.sort compare buf;
-      let r = int_of_float (ceil (t.p *. float_of_int t.count)) in
-      let r = if r < 1 then 1 else if r > t.count then t.count else r in
-      buf.(r - 1)
-    end
-    else t.q.(2)
 end

@@ -1,4 +1,4 @@
-(** Streaming quantile estimators: fixed memory, online, built for the
+(** A streaming quantile sketch: fixed memory, online, built for the
     million-sample runs of E22 where O(n) sample buffers are off-limits. *)
 
 module Sketch : sig
@@ -21,7 +21,6 @@ module Sketch : sig
   val count : t -> int
   val min_value : t -> int
   val max_value : t -> int
-  val mean : t -> float
 
   val quantile : t -> float -> float
   (** [quantile t q] for [q] in [0,1]: nearest-rank estimate, clamped to
@@ -34,22 +33,4 @@ module Sketch : sig
   val fingerprint : t -> int
   (** Deterministic digest of the full bucket state, for bit-for-bit
       replay checks. *)
-end
-
-module P2 : sig
-  (** Jain & Chlamtac's P-squared single-quantile estimator: five
-      markers, parabolic interpolation, O(1) memory. Not mergeable —
-      use {!Sketch} for sharded collection. *)
-
-  type t
-
-  val create : float -> t
-  (** [create p] for the target quantile [p] in (0,1). *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-
-  val value : t -> float
-  (** Current estimate; exact (nearest-rank over the buffered samples)
-      while fewer than five observations have arrived. *)
 end

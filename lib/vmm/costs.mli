@@ -1,7 +1,7 @@
 (** Hypervisor path-length constants.
 
     Each VMM primitive has its own code path (and so its own i-cache
-    region, see {!icache_regions}); the paper's §2.2 point is precisely
+    region, see {!icache_lines_for}); the paper's §2.2 point is precisely
     this multiplicity versus the microkernel's single IPC path. Values
     are calibrated against Xen 2.x-era measurements: hypercalls are a few
     hundred cycles of hypervisor work, a grant-map costs page-table
@@ -44,9 +44,6 @@ val domain_build : int
     Dwarfed by what a real builder pays to load a kernel image, but
     enough that restarting a driver domain is visibly not free. *)
 
-val icache_regions : (string * int) list
-(** [(region, lines)] touched by each primitive path (experiment E9);
-    regions are disjoint — that is the point. *)
-
 val icache_lines_for : string -> int
-(** Lines for one region; [0] if unknown. *)
+(** I-cache lines touched by one primitive path's region (experiment
+    E9); [0] if unknown. Regions are disjoint — that is the point. *)

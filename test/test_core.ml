@@ -177,7 +177,7 @@ let test_quick_verdicts_hold id =
   | None -> Alcotest.fail (id ^ " missing")
 
 let test_registry_complete () =
-  check_int "28 experiments" 28 (List.length Registry.all);
+  check_int "27 experiments" 27 (List.length Registry.all);
   check_bool "find is case-insensitive" true (Registry.find "E3" <> None);
   check_bool "unknown is None" true (Registry.find "zz" = None);
   let ids = Registry.ids () in
@@ -213,8 +213,6 @@ let suite =
         test_quick_verdicts_hold "e12");
     Alcotest.test_case "a6: quick verdicts hold" `Slow (fun () ->
         test_quick_verdicts_hold "a6");
-    Alcotest.test_case "e21: quick verdicts hold" `Slow (fun () ->
-        test_quick_verdicts_hold "e21");
     Alcotest.test_case "e22: quick verdicts hold" `Slow (fun () ->
         test_quick_verdicts_hold "e22");
     Alcotest.test_case "a4: quick verdicts hold" `Slow (fun () ->

@@ -1,8 +1,9 @@
 (* Tests for the shared single-core executor (Vmk_hw.Exec): its
    tickless burst rule must fast-forward a lone compute burst to exactly
    the state slicing reaches, and each guard must keep it from jumping
-   when something could take the core mid-burst. Every case runs on the
-   three kernels that share the rule. *)
+   when something could take the core mid-burst. Every burst case runs
+   on the three kernels that share the rule; the idle-jump case runs on
+   the L4-style kernel, the one with a plain sleep. *)
 
 module Machine = Vmk_hw.Machine
 module Irq = Vmk_hw.Irq
@@ -146,6 +147,17 @@ let test_co_runnable_interleave () =
              !finished))
     stacks
 
+(* An idle gap is crossed in one engine hop, not stepped through
+   timeslices: a lone sleeper ends at its wake-up plus the kernel's own
+   path, after exactly one idle jump. *)
+let test_lone_sleeper () =
+  let mach = Machine.create ~seed:21L () in
+  let k = Kernel.create mach in
+  ignore (Kernel.spawn k ~name:"sleeper" (fun () -> Sysif.sleep 10_000_000L));
+  ignore (Kernel.run k);
+  Alcotest.(check int64) "clock" 10_001_330L (Machine.now mach);
+  Alcotest.(check int) "idle jumps" 1 (Engine.idle_jumps mach.Machine.engine)
+
 let suite =
   [
     Alcotest.test_case "lone burner jumps to e21 clock" `Quick test_lone_burner;
@@ -155,4 +167,6 @@ let suite =
       test_event_inside_burst;
     Alcotest.test_case "co-runnable burners interleave" `Quick
       test_co_runnable_interleave;
+    Alcotest.test_case "lone sleeper jumps its idle gap once" `Quick
+      test_lone_sleeper;
   ]

@@ -217,6 +217,19 @@ let test_sketch_bounded_error () =
         Alcotest.failf "q=%.3f exact=%.0f est=%.0f rel=%.4f" q exact est rel)
     [ 0.5; 0.9; 0.99; 0.999 ]
 
+let test_sketch_add_allocates_nothing () =
+  let rng = Vmk_sim.Rng.create ~seed:42L () in
+  let data = Array.init 1_000 (fun _ -> Vmk_sim.Rng.int rng 1_000_000) in
+  let s = Quantile.Sketch.create () in
+  let words =
+    Alloc.minor_words (fun () ->
+        for i = 0 to Array.length data - 1 do
+          Quantile.Sketch.add s data.(i)
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words for 1000 adds" 0.0 words;
+  check_int "all counted" 1_000 (Quantile.Sketch.count s)
+
 let test_sketch_negative_rejected () =
   let s = Quantile.Sketch.create () in
   Alcotest.check_raises "negative"
@@ -245,25 +258,6 @@ let prop_sketch_merge_equals_single_stream =
              Quantile.Sketch.quantile merged q
              = Quantile.Sketch.quantile single q)
            [ 0.5; 0.99; 0.999 ])
-
-let test_p2_small_n_exact () =
-  (* Fewer observations than markers: P2 must fall back to exact ranks. *)
-  let p = Quantile.P2.create 0.5 in
-  check_float "empty" 0.0 (Quantile.P2.value p);
-  Quantile.P2.add p 9.0;
-  Quantile.P2.add p 1.0;
-  Quantile.P2.add p 5.0;
-  check_float "n=3 median" 5.0 (Quantile.P2.value p)
-
-let test_p2_tracks_median () =
-  let p = Quantile.P2.create 0.5 in
-  let rng = Vmk_sim.Rng.create ~seed:5L () in
-  for _ = 1 to 2000 do
-    Quantile.P2.add p (Vmk_sim.Rng.float rng 100.0)
-  done;
-  let v = Quantile.P2.value p in
-  Alcotest.(check bool) "median of U(0,100) near 50" true
-    (v > 45.0 && v < 55.0)
 
 let suite =
   [
@@ -300,9 +294,7 @@ let suite =
       test_sketch_bounded_error;
     Alcotest.test_case "quantile: rejects negatives" `Quick
       test_sketch_negative_rejected;
+    Alcotest.test_case "sketch: add allocates nothing" `Quick
+      test_sketch_add_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_sketch_merge_equals_single_stream;
-    Alcotest.test_case "quantile: p2 small n exact" `Quick
-      test_p2_small_n_exact;
-    Alcotest.test_case "quantile: p2 tracks median" `Quick
-      test_p2_tracks_median;
   ]

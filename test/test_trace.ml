@@ -61,6 +61,29 @@ let test_counter_interned_id_same_cell () =
     (Invalid_argument "Counter.add: negative amount") (fun () ->
       Counter.add_id s id (-1))
 
+(* counter.mli promises allocation-free bumps: by interned id, and by
+   name once the cell exists. *)
+let test_counter_bumps_allocate_nothing () =
+  let s = Counter.create_set () in
+  let id = Counter.id s "hot.id" in
+  Counter.incr s "hot.name";
+  let by_id =
+    Alloc.minor_words (fun () ->
+        for _ = 1 to 1_000 do
+          Counter.incr_id s id
+        done)
+  in
+  let by_name =
+    Alloc.minor_words (fun () ->
+        for _ = 1 to 1_000 do
+          Counter.incr s "hot.name"
+        done)
+  in
+  Alcotest.(check (float 0.0)) "incr_id words" 0.0 by_id;
+  Alcotest.(check (float 0.0)) "incr hit-path words" 0.0 by_name;
+  check_int "incr_id counted" 1_000 (Counter.get_id s id);
+  check_int "incr counted" 1_001 (Counter.get s "hot.name")
+
 let test_counter_to_list_sorted () =
   let s = Counter.create_set () in
   Counter.incr s "zeta";
@@ -179,6 +202,8 @@ let suite =
       test_counter_matching_prefix;
     Alcotest.test_case "counter: interned id shares the string cell" `Quick
       test_counter_interned_id_same_cell;
+    Alcotest.test_case "counter: hot bumps allocate nothing" `Quick
+      test_counter_bumps_allocate_nothing;
     Alcotest.test_case "counter: sorted listing" `Quick
       test_counter_to_list_sorted;
     Alcotest.test_case "accounts: charge and share" `Quick

@@ -1,8 +1,9 @@
 (* The inter-guest fabric (E17): the learning switch's MAC table and
    flow cache, bounded port queues with ECN watermarks, weighted
    fair-share at the gate, the ring-drop accounting split the fabric
-   work surfaced, per-flow order preservation, and bit-for-bit replay
-   of the end-to-end experiment on both stacks. *)
+   work surfaced, per-flow order preservation, the exact and
+   allocation-free steady-state forward, and bit-for-bit replay of the
+   end-to-end experiment on both stacks. *)
 
 module Counter = Vmk_trace.Counter
 module Overload = Vmk_overload.Overload
@@ -193,6 +194,57 @@ let prop_per_flow_order =
       drain ();
       !ordered)
 
+(* --- steady-state forward: exact cycles, no allocation --- *)
+
+(* Once every station is learned and every flow installed, a forward is
+   one flow-cache hit plus one enqueue: exactly the published cycle
+   constants, no minor-heap words (interned counter ids, preallocated
+   ring slots), and the delivery record is the switch's own scratch. *)
+let test_steady_forward () =
+  List.iter
+    (fun guests ->
+      let burned = ref 0 in
+      let s =
+        Switch.create ~counters:(Counter.create_set ())
+          ~burn:(fun c -> burned := !burned + c)
+          ()
+      in
+      for id = 1 to guests do
+        ignore (Switch.add_port s ~id)
+      done;
+      let fwd src =
+        let dst = (src mod guests) + 1 in
+        let d =
+          Switch.forward_to s ~now:0L ~in_port:src ~src ~dst ~len:512
+            ~tag:((dst * 1_000_000) + (src * 10_000))
+        in
+        ignore (Switch.discard s ~port:dst);
+        d
+      in
+      (* The first ring learns every station, the second installs every
+         (src, next) flow. *)
+      for _ = 1 to 2 do
+        for src = 1 to guests do
+          ignore (fwd src)
+        done
+      done;
+      let scratch = fwd 1 in
+      burned := 0;
+      let packets = 2_000 in
+      let words =
+        Alloc.minor_words (fun () ->
+            for i = 0 to packets - 1 do
+              ignore (fwd ((i mod guests) + 1))
+            done)
+      in
+      let label = Printf.sprintf "%d guests: " guests in
+      Alcotest.(check (float 0.0)) (label ^ "minor words") 0.0 words;
+      check_int (label ^ "cycles")
+        (packets * (Vnet.flow_hit_cost + Vnet.enqueue_cost))
+        !burned;
+      check_bool (label ^ "scratch reused") true (fwd 1 == scratch))
+    [ 2; 4; 8 ]
+
 (* --- end-to-end replay (also the alloc_pages/grant-collision
    regression: the Uk pairwise boot maps IPC grant items into the
    receiver's space ahead of the allocator) --- *)
@@ -224,6 +276,8 @@ let suite =
       test_fair_gate_protects_victim;
     Alcotest.test_case "ring: request/response drop split" `Quick
       test_ring_drop_split;
+    Alcotest.test_case "switch: steady forward is exact and allocation-free"
+      `Quick test_steady_forward;
     QCheck_alcotest.to_alcotest prop_per_flow_order;
     Alcotest.test_case "e17: replay (vmm)" `Quick test_replay_vmm;
     Alcotest.test_case "e17: replay (uk)" `Quick test_replay_uk;
