@@ -111,26 +111,6 @@ let all_cmd =
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const action $ quick_arg)
 
-let report_cmd =
-  let doc =
-    "Run every experiment and emit a markdown report (the EXPERIMENTS.md      format) on stdout."
-  in
-  let action quick =
-    Format.printf "# vmk experiment report@.@.";
-    Format.printf
-      "Generated by `vmk report%s`. Every verdict compares a claim from the        paper against this run's measurement.@.@."
-      (if quick then " --quick" else "");
-    let ok = ref true in
-    List.iter
-      (fun (e : Vmk_core.Experiment.t) ->
-        let report = e.Vmk_core.Experiment.run ~quick in
-        if not (Vmk_core.Experiment.all_hold report) then ok := false;
-        Format.printf "%a" Vmk_core.Experiment.pp_report_markdown (e, report))
-      Vmk_core.Registry.all;
-    if !ok then 0 else 1
-  in
-  Cmd.v (Cmd.info "report" ~doc) Term.(const action $ quick_arg)
-
 let faults_cmd =
   let doc =
     "Run one fault-injection scenario (the E13 machinery): kill the storage \
@@ -194,6 +174,6 @@ let main_cmd =
   in
   let info = Cmd.info "vmk" ~version:"1.0.0" ~doc in
   Cmd.group info
-    [ list_cmd; run_cmd; all_cmd; report_cmd; faults_cmd; archs_cmd ]
+    [ list_cmd; run_cmd; all_cmd; faults_cmd; archs_cmd ]
 
 let () = exit (Cmd.eval' main_cmd)

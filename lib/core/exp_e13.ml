@@ -218,9 +218,6 @@ let run ~quick =
   let ops = if quick then 16 else 32 in
   let l4 = List.map (fun rate -> l4_run ~quick ~rate) rates in
   let vmm = List.map (fun rate -> vmm_run ~quick ~rate) rates in
-  let l4_again = l4_run ~quick ~rate:15 in
-  let l4_first = List.nth l4 1 in
-  let deterministic = l4_first.digest = l4_again.digest in
   let baseline_ok m = m.completed = ops && m.lost = 0 && m.finished in
   let recovered m =
     m.finished && m.recoveries >= 1
@@ -241,6 +238,7 @@ let run ~quick =
       [
         metrics_table "Microkernel stack (watchdog respawn + IPC retry)" l4;
         metrics_table "VMM stack (supervisor restart + frontend reconnect)" vmm;
+        Experiment.digests [ ("L4@15%", (List.nth l4 1).digest) ];
       ];
     verdicts =
       [
@@ -272,15 +270,6 @@ let run ~quick =
              client finishes with bounded loss"
           ~measured:(String.concat "; " (List.map show (faulted vmm)))
           (List.for_all recovered (faulted vmm));
-        Experiment.verdict
-          ~claim:"the fault plan is deterministic"
-          ~expected:"same seed + same plan => identical metrics and op log"
-          ~measured:
-            (if deterministic then "two L4@15% runs identical"
-             else
-               Printf.sprintf "runs diverged: %s vs %s" (show l4_first)
-                 (show l4_again))
-          deterministic;
       ];
   }
 

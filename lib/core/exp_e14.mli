@@ -7,8 +7,8 @@
     and itemizes the cross-CPU overheads (IPIs, TLB shootdowns, spinlock
     spin) from the per-CPU accounts, then checks the paper-shaped
     verdicts: the single Dom0 plateaus, the multi-server and
-    disaggregated layouts scale, and same-seed reruns are bit-for-bit
-    identical. *)
+    disaggregated layouts scale. Prints the replay digest of the 8-core
+    single-Dom0 run. *)
 
 val kinds : Scenario.smp_layout list
 (** The four layouts, in table order: uk/colocated, uk/pinned,

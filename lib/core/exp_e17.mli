@@ -4,8 +4,8 @@
     IPC channels (the net server only brokers connection setup),
     measuring fabric cycles, privileged transitions and middleman
     touches per packet, plus the flow-cache sweep, weighted fair-share
-    and ECN satellites, the E14 storm composition and bit-for-bit
-    replay. *)
+    and ECN satellites, the E14 storm composition and the replay digests
+    of the 8-guest pairwise runs. *)
 
 val experiment : Experiment.t
 

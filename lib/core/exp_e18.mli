@@ -4,6 +4,7 @@
     (vs the monolithic Dom0 and vs the microkernel's killed net server),
     the toolstack rebuild + generation-keyed reconnect recovery, the E10
     per-client TCB rerun, the E14 storm with per-core and fixed-fleet
-    driver-domain placement, and bit-for-bit replay. *)
+    driver-domain placement, and the replay digest of the fault-free
+    disaggregated run. *)
 
 val experiment : Experiment.t

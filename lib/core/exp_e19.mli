@@ -6,7 +6,7 @@
     chains on L4, grant -> map -> transitive re-grant chains on the
     VMM), the E17 fabric mid-run with a misbehaving party recursively
     revoked, collateral p99 latency on innocent guests, privileged
-    transitions, and bit-for-bit replay. *)
+    transitions, and the replay digests of both storms. *)
 
 val experiment : Experiment.t
 

@@ -2,7 +2,7 @@
     recovery, on both stacks (see {!Vmk_migrate}). Sweeps dirty rates
     against round budgets (downtime / total pages / convergence),
     injects failures at every protocol phase, migrates the bridge
-    driver domain under a packet storm, and closes with the bit-for-bit
-    replay and determinism verdicts. *)
+    driver domain under a packet storm, and checks that a migrated guest
+    replays bit-for-bit against the uninterrupted run. *)
 
 val experiment : Experiment.t

@@ -744,36 +744,6 @@ let run ~quick =
             ])
         [ 0; 1 ])
     [ ("fifo", f_fifo); ("weighted", f_fair) ];
-  (* Phase 4: bit-for-bit replay — regenerate the schedule and rerun one
-     cell per stack from the same seeds; the schedule fingerprint and
-     both cell digests must match. *)
-  let day2 = day_sched ~quick () in
-  let vmm_naive2 =
-    run_cell ~stack:Vmm ~mode:Naive ~sched:day2 ~pkt_gap:day_gap ~budget ()
-  in
-  let uk_pol2 =
-    run_cell ~stack:Uk ~mode:Policied ~sched:day2 ~pkt_gap:day_gap ~budget ()
-  in
-  let replay_ok =
-    Scenario.fingerprint day = Scenario.fingerprint day2
-    && vmm_naive.l_digest = vmm_naive2.l_digest
-    && uk_pol.l_digest = uk_pol2.l_digest
-  in
-  let replay_table =
-    Table.create ~header:[ "object"; "run 1"; "run 2"; "equal" ] in
-  let hex8 fp = Printf.sprintf "%08x" (fp land 0xFFFFFFFF) in
-  List.iter
-    (fun (label, a, b) ->
-      Table.add_row replay_table
-        [ label; String.sub a 0 8; String.sub b 0 8;
-          (if a = b then "yes" else "NO") ])
-    [
-      ( "schedule",
-        hex8 (Scenario.fingerprint day),
-        hex8 (Scenario.fingerprint day2) );
-      ("vmm/naive day", vmm_naive.l_digest, vmm_naive2.l_digest);
-      ("uk/policied day", uk_pol.l_digest, uk_pol2.l_digest);
-    ];
   (* --- verdicts --- *)
   let flows_floor = if quick then 15_000 else 1_000_000 in
   let all_clean =
@@ -870,12 +840,6 @@ let run ~quick =
                            (aggressor shed %d)"
              victim_fair victim_fifo (f_fair.l_fair_shed + f_fair.l_tb_shed))
         fairness_holds;
-      Experiment.verdict
-        ~claim:"the day replays bit-for-bit from the seed (schedule, \
-                latency sketches, counters, accounts)"
-        ~expected:"identical fingerprints across regeneration + rerun"
-        ~measured:(if replay_ok then "all equal" else "MISMATCH")
-        replay_ok;
     ]
   in
   {
@@ -884,7 +848,13 @@ let run ~quick =
         ("Million-flow day (diurnal ramp, open loop)", day_table);
         ("Offered-load knee sweep (x single-Dom0 capacity)", knee_table);
         ("Fairness under an aggressor tenant (vmm)", fair_table);
-        ("Replay determinism", replay_table);
+        (* Each digest covers the schedule, the latency sketches, the
+           counters and the accounts of one day cell. *)
+        Experiment.digests
+          [
+            ("vmm/naive day", vmm_naive.l_digest);
+            ("uk/policied day", uk_pol.l_digest);
+          ];
       ];
     verdicts;
   }

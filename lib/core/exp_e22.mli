@@ -2,7 +2,7 @@
     both stacks on the 8-core machine, tail latency from streaming
     mergeable quantile sketches, the offered-load knee sweep (closing the
     E15-admission-on-SMP carry-over), weighted-fair-share composition and
-    a bit-for-bit replay check. *)
+    the replay digests of two day cells. *)
 
 val experiment : Experiment.t
 

@@ -20,23 +20,10 @@ type t = {
 let verdict ~claim ~expected ~measured holds = { claim; expected; measured; holds }
 let all_hold report = List.for_all (fun v -> v.holds) report.verdicts
 
-let pp_report_markdown ppf (t, report) =
-  Format.fprintf ppf "## %s — %s@.@." (String.uppercase_ascii t.id) t.title;
-  Format.fprintf ppf "**Paper claim:** %s@.@." t.paper_claim;
-  List.iter
-    (fun (title, table) ->
-      Format.fprintf ppf "**%s**@.@.%a@." title Vmk_stats.Table.pp_markdown
-        table)
-    report.tables;
-  Format.fprintf ppf "| verdict | claim | expected | measured |@.";
-  Format.fprintf ppf "|---|---|---|---|@.";
-  List.iter
-    (fun v ->
-      Format.fprintf ppf "| %s | %s | %s | %s |@."
-        (if v.holds then "**HOLDS**" else "**FAILS**")
-        v.claim v.expected v.measured)
-    report.verdicts;
-  Format.fprintf ppf "@."
+let digests runs =
+  let table = Vmk_stats.Table.create ~header:[ "run"; "md5" ] in
+  List.iter (fun (label, md5) -> Vmk_stats.Table.add_row table [ label; md5 ]) runs;
+  ("Replay digests", table)
 
 let pp_report ppf (t, report) =
   Format.fprintf ppf "== %s: %s ==@." (String.uppercase_ascii t.id) t.title;

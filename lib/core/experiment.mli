@@ -1,10 +1,11 @@
 (** Experiment framework.
 
-    Every claim-reproduction (E1–E9) and ablation (A1–A4) is an
+    Every claim-reproduction (E1–E22) and ablation (A1–A6) is an
     {!t}: it runs scenarios, renders result tables, and checks explicit
     verdicts — "the paper expects X, we measured Y, does the shape
-    hold?". [vmk run <id>] and the EXPERIMENTS.md generator both consume
-    this interface. *)
+    hold?". [vmk run <id>] and [vmk all] print each report with
+    {!pp_report}; the committed [vmk all] outputs are the record that
+    EXPERIMENTS.md quotes. *)
 
 type verdict = {
   claim : string;  (** What the paper asserts. *)
@@ -19,7 +20,7 @@ type report = {
 }
 
 type t = {
-  id : string;  (** "e1" … "e9", "a1" … *)
+  id : string;  (** "e1" … "e22", "a1" … "a6" *)
   title : string;
   paper_claim : string;  (** Section reference + quoted claim. *)
   run : quick:bool -> report;
@@ -28,8 +29,11 @@ type t = {
 
 val verdict : claim:string -> expected:string -> measured:string -> bool -> verdict
 val all_hold : report -> bool
-val pp_report : Format.formatter -> t * report -> unit
 
-val pp_report_markdown : Format.formatter -> t * report -> unit
-(** Render the report as a markdown section — the format EXPERIMENTS.md
-    is built from ([vmk report]). *)
+val digests : (string * string) list -> string * Vmk_stats.Table.t
+(** [digests runs] is the "Replay digests" table: one row per
+    [(label, md5)], each MD5 a full 32-hex {!Vmk_hw.Machine.digest}.
+    Printed in the output, they put every listed machine's final state
+    under the golden-output diff. *)
+
+val pp_report : Format.formatter -> t * report -> unit

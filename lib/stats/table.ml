@@ -53,18 +53,4 @@ let pp ppf t =
   rule ();
   List.iter (function Row r -> emit r | Separator -> rule ()) lines
 
-let pp_markdown ppf t =
-  let escape cell =
-    String.concat "\\|" (String.split_on_char '|' cell)
-  in
-  let emit row =
-    Format.fprintf ppf "| %s |@." (String.concat " | " (List.map escape row))
-  in
-  emit t.header;
-  Format.fprintf ppf "|%s@."
-    (String.concat "" (List.map (fun _ -> "---|") t.header));
-  List.iter
-    (function Row r -> emit r | Separator -> ())
-    (List.rev t.lines)
-
 let to_string t = Format.asprintf "%a" pp t

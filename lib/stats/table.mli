@@ -28,8 +28,4 @@ val pp : Format.formatter -> t -> unit
     right-aligned, so all cells are right-aligned except the first
     column). *)
 
-val pp_markdown : Format.formatter -> t -> unit
-(** Render as a GitHub-flavoured markdown table (separators between row
-    groups are dropped — markdown has no mid-table rules). *)
-
 val to_string : t -> string

@@ -1,8 +1,4 @@
-let served_count = ref 0
-let served () = !served_count
-
 let body ~pool_pages () =
-  served_count := 0;
   let pool = Sysif.alloc_pages pool_pages in
   (* Real handles to the pool (E19): Alloc_pages minted a root cap per
      page; revoke_pool tears every delegated mapping down through them
@@ -18,7 +14,6 @@ let body ~pool_pages () =
       if m.Sysif.label = Proto.pagefault && !next < pool_pages then begin
         let page = pool.Sysif.base_vpn + !next in
         incr next;
-        incr served_count;
         Sysif.msg Proto.ok
           ~items:
             [ Sysif.Map { fpage = { base_vpn = page; pages = 1; writable = true }; grant = false } ]

@@ -11,7 +11,3 @@ val body : pool_pages:int -> unit -> unit
     the [pager] of client threads. When the pool is exhausted the pager
     replies without a map item and the client's access fails with
     [Page_fault_unhandled]. *)
-
-val served : unit -> int
-(** Faults answered with a mapping by the most recently started pager
-    (reset when a new pager body starts); test/diagnostic hook. *)

@@ -176,6 +176,95 @@ let test_quick_verdicts_hold id =
         report.Experiment.verdicts
   | None -> Alcotest.fail (id ^ " missing")
 
+(* --- the whole quick suite: golden output and in-process replay --- *)
+
+(* The committed [vmk all --quick] stdout; regenerate it with
+   [dune exec bin/vmk.exe -- all --quick > test/golden/vmk_all_quick.txt]. *)
+let golden_quick = "golden/vmk_all_quick.txt"
+
+(* Split [vmk all] output into (ID, block) pairs. A block runs from its
+   "== ID: title ==" header to the next header, the last one to the
+   blank line before the summary: exactly what [render] prints. *)
+let blocks_of_output text =
+  let rec scan pos current acc =
+    let close stop =
+      match current with
+      | None -> acc
+      | Some (id, start) -> (id, String.sub text start (stop - start)) :: acc
+    in
+    if pos >= String.length text then List.rev (close pos)
+    else
+      let nl =
+        Option.value ~default:(String.length text)
+          (String.index_from_opt text pos '\n')
+      in
+      let line = String.sub text pos (nl - pos) in
+      if line = "=== Summary ===" then List.rev (close (pos - 1))
+      else if String.starts_with ~prefix:"== " line then
+        let id = String.sub line 3 (String.index line ':' - 3) in
+        scan (nl + 1) (Some (id, pos)) (close pos)
+      else scan (nl + 1) current acc
+  in
+  scan 0 None []
+
+let header_id (e : Experiment.t) = String.uppercase_ascii e.Experiment.id
+
+(* One experiment's quick block as [vmk all --quick] prints it; every
+   verdict must hold. *)
+let render (e : Experiment.t) =
+  let report = e.Experiment.run ~quick:true in
+  List.iter
+    (fun (v : Experiment.verdict) ->
+      check_bool
+        (Printf.sprintf "%s: %s [%s]" e.Experiment.id v.Experiment.claim
+           v.Experiment.measured)
+        true v.Experiment.holds)
+    report.Experiment.verdicts;
+  Format.asprintf "%a@." Experiment.pp_report (e, report)
+
+(* Fail naming the experiment and the first line where [got] differs
+   from [want]. *)
+let check_block ~against (e : Experiment.t) ~want got =
+  if got <> want then begin
+    let rec first n = function
+      | a :: want, b :: got when a = b -> first (n + 1) (want, got)
+      | a :: _, b :: _ -> (n, a, b)
+      | a :: _, [] -> (n, a, "<end of block>")
+      | [], b :: _ -> (n, "<end of block>", b)
+      | [], [] -> (n, "", "")
+    in
+    let n, a, b =
+      first 1 (String.split_on_char '\n' want, String.split_on_char '\n' got)
+    in
+    Alcotest.failf "%s differs from %s at line %d:\n  want: %s\n  got:  %s"
+      (header_id e) against n a b
+  end
+
+(* Forward in registry order against the golden file, then in reverse
+   order in the same process against the forward pass: a run that reads
+   state an earlier run left behind prints a different block. *)
+let test_suite_golden_forward_reverse () =
+  let golden =
+    blocks_of_output (In_channel.with_open_bin golden_quick In_channel.input_all)
+  in
+  Alcotest.(check (list string))
+    "golden experiments" (List.map header_id Registry.all) (List.map fst golden);
+  let forward =
+    List.map
+      (fun e ->
+        let block = render e in
+        check_block ~against:golden_quick e
+          ~want:(List.assoc (header_id e) golden)
+          block;
+        (e, block))
+      Registry.all
+  in
+  List.iter
+    (fun e ->
+      check_block ~against:"the forward pass" e ~want:(List.assq e forward)
+        (render e))
+    (List.rev Registry.all)
+
 let test_registry_complete () =
   check_int "27 experiments" 27 (List.length Registry.all);
   check_bool "find is case-insensitive" true (Registry.find "E3" <> None);
@@ -217,6 +306,8 @@ let suite =
         test_quick_verdicts_hold "e22");
     Alcotest.test_case "a4: quick verdicts hold" `Slow (fun () ->
         test_quick_verdicts_hold "a4");
+    Alcotest.test_case "suite: golden, forward and reverse" `Slow
+      test_suite_golden_forward_reverse;
     Alcotest.test_case "registry: complete" `Quick test_registry_complete;
     Alcotest.test_case "experiment: verdict helpers" `Quick test_verdict_helpers;
   ]
