@@ -621,8 +621,7 @@ let run ~quick =
   in
   let vmm_naive = find Vmm Naive
   and vmm_pol = find Vmm Policied
-  and uk_naive = find Uk Naive
-  and uk_pol = find Uk Policied in
+  and uk_naive = find Uk Naive in
   (* Phase 2: the offered-load knee sweep (E15 admission shapes x SMP).
      Common absolute rungs, expressed as multiples of the single-Dom0
      capacity, against both stacks in both modes. *)
@@ -851,10 +850,12 @@ let run ~quick =
         (* Each digest covers the schedule, the latency sketches, the
            counters and the accounts of one day cell. *)
         Experiment.digests
-          [
-            ("vmm/naive day", vmm_naive.l_digest);
-            ("uk/policied day", uk_pol.l_digest);
-          ];
+          (List.map
+             (fun l ->
+               ( Printf.sprintf "%s/%s day" (stack_name l.l_stack)
+                   (mode_name l.l_mode),
+                 l.l_digest ))
+             day_cells);
       ];
     verdicts;
   }

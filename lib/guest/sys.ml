@@ -92,40 +92,32 @@ let vnet_dst tag = tag / 1_000_000
 let vnet_src tag = tag mod 1_000_000 / 10_000
 let vnet_seq tag = tag mod 10_000
 
+module Fiber = Vmk_hw.Exec.Fiber (struct
+  type call = gcall
+  type reply = gret
+  type _ Effect.t += Invoke = Gsys
+end)
+
+(* The pump's view of the app: the call it is parked at, or [G_exit]
+   once it has returned. An exception from the app propagates. *)
+let park () last call = last := call
+let finish () last = function None -> last := G_exit | Some e -> raise e
+
 let run_with_handler ~handler body =
-  let open Effect.Deep in
-  let pending : (gcall * (gret, unit) continuation) option ref = ref None in
-  let app_exn : exn option ref = ref None in
-  match_with body ()
-    {
-      retc = (fun () -> ());
-      exnc = (fun e -> app_exn := Some e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Gsys call ->
-              Some
-                (fun (k : (a, unit) continuation) -> pending := Some (call, k))
-          | _ -> None);
-    };
+  let app = Fiber.create ~reply:G_unit body in
+  let last = ref G_exit in
   let rec pump () =
-    match !pending with
-    | None -> ()
-    | Some (G_exit, _k) ->
-        (* Never resumed; the fiber is abandoned. *)
-        pending := None
-    | Some (call, k) ->
-        pending := None;
+    Fiber.resume app ~call:park ~finish () last;
+    match !last with
+    | G_exit -> (* Never resumed; the fiber is abandoned. *) ()
+    | call ->
         (* A handler that raises Sys_error is a failing syscall, not a
            crashing kernel: surface it to the app as an error return. *)
-        let result =
-          try handler call with Sys_error message -> G_error message
-        in
-        continue k result;
+        Fiber.set_reply app
+          (try handler call with Sys_error message -> G_error message);
         pump ()
   in
-  pump ();
-  match !app_exn with Some e -> raise e | None -> ()
+  pump ()
 
 let kernel_work = function
   | G_burn _ -> 0

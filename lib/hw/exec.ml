@@ -45,3 +45,52 @@ let slice mach ~sole k th left =
   in
   Machine.burn mach step;
   step
+
+module type EFFECT = sig
+  type call
+  type reply
+  type _ Effect.t += Invoke : call -> reply Effect.t
+end
+
+module Fiber (E : EFFECT) = struct
+  type t = {
+    mutable body : (unit -> unit) option;
+    mutable cont : (E.reply, unit) Effect.Deep.continuation option;
+    mutable reply : E.reply;
+  }
+
+  let create ~reply body = { body = Some body; cont = None; reply }
+  let set_reply f reply = f.reply <- reply
+  let started f = Option.is_none f.body
+
+  let stop f =
+    f.body <- None;
+    f.cont <- None
+
+  let resume f ~call ~finish k th =
+    let open Effect.Deep in
+    match (f.body, f.cont) with
+    | Some body, _ ->
+        f.body <- None;
+        (* Built once per thread: each call's handler closes over [park]
+           and the call alone. *)
+        let park kont c =
+          f.cont <- Some kont;
+          call k th c
+        in
+        match_with body ()
+          {
+            retc = (fun () -> finish k th None);
+            exnc = (fun e -> finish k th (Some e));
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | E.Invoke c ->
+                    Some (fun (kont : (a, _) continuation) -> park kont c)
+                | _ -> None);
+          }
+    | None, Some kont ->
+        f.cont <- None;
+        continue kont f.reply
+    | None, None -> finish k th None
+end

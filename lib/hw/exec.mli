@@ -46,3 +46,50 @@ val slice :
     {!Vmk_sim.Engine.note_burst}. Only whole timeslices are skipped,
     so per-dispatch arithmetic such as a stride scheduler's pass
     accumulates as it would sliced. *)
+
+(** {1 Fibers}
+
+    Every executor's threads, and the guest syscall pump, are OCaml
+    fibers performing one syscall effect. [Fiber] runs them all: it owns
+    a thread's body, the continuation parked at its last call and the
+    reply that call will return. *)
+
+module type EFFECT = sig
+  type call
+  type reply
+  type _ Effect.t += Invoke : call -> reply Effect.t
+end
+
+module Fiber (E : EFFECT) : sig
+  type t
+
+  val create : reply:E.reply -> (unit -> unit) -> t
+  (** Runs the body at the first {!resume}; [reply] is the pending reply
+      until the first {!set_reply}. *)
+
+  val set_reply : t -> E.reply -> unit
+  (** What the parked call returns at the next {!resume}. It stays until
+      overwritten. *)
+
+  val started : t -> bool
+  (** False until the first {!resume} or {!stop}. *)
+
+  val stop : t -> unit
+  (** Drop the body and the parked continuation: no code after the
+      parked call runs, not even a [Fun.protect] finaliser, and the next
+      {!resume} only calls [finish]. *)
+
+  val resume :
+    t ->
+    call:('k -> 'th -> E.call -> unit) ->
+    finish:('k -> 'th -> exn option -> unit) ->
+    'k ->
+    'th ->
+    unit
+  (** [resume f ~call ~finish k th] starts the body, or continues the
+      parked call with the pending reply, until its next [E.Invoke c]:
+      the continuation is parked and [call k th c] runs outside the
+      fiber. [finish k th None] runs when the body returns or nothing is
+      left to run, [finish k th (Some e)] when it raises [e]. Top-level
+      [call] and [finish] keep a resume free of closures. *)
+end

@@ -41,6 +41,12 @@ type call =
 
 type _ Effect.t += Invoke : call -> reply Effect.t
 
+module Fiber = Vmk_hw.Exec.Fiber (struct
+  type nonrec call = call
+  type nonrec reply = reply
+  type _ Effect.t += Invoke = Invoke
+end)
+
 type state = Ready | Running | Blocked | Done
 
 type mail = { visible_at : int64; mseq : int; mtag : int }
@@ -53,9 +59,7 @@ type thread = {
   weight : int;
   mutable credit : int;
   mutable st : state;
-  mutable cont : (reply, unit) Effect.Deep.continuation option;
-  mutable pending : reply;
-  mutable body : (unit -> unit) option;
+  fiber : Fiber.t;
   mutable burn_left : int;
   mutable ready_at : int64;
       (** Earliest global time this thread may next run: message
@@ -152,9 +156,7 @@ let spawn t ~name ?account ~cpu ?(weight = 1) body =
       weight;
       credit = weight;
       st = Ready;
-      cont = None;
-      pending = R_unit;
-      body = Some body;
+      fiber = Fiber.create ~reply:R_unit body;
       burn_left = 0;
       ready_at = 0L;
       waiting_recv = false;
@@ -219,14 +221,14 @@ let post t ?irq_cost ~dst tag =
 (* --- syscall-style handling --- *)
 
 let make_ready th ~at reply =
-  th.pending <- reply;
+  Fiber.set_reply th.fiber reply;
   th.st <- Ready;
   th.ready_at <- at
 
-let rec handle t core th call =
+let handle t th call =
   let arch = t.mach.Machine.arch in
   let counters = t.mach.Machine.counters in
-  let hw = core.hw in
+  let hw = t.cores.(th.cpu).hw in
   match call with
   | Burn n ->
       (* Pure computation: consumed one quantum-slice per dispatch so the
@@ -303,37 +305,11 @@ let rec handle t core th call =
         t.cores;
       make_ready th ~at:hw.Cpu.now R_unit
 
-and start_fiber t core th body =
-  let open Effect.Deep in
-  match_with body ()
-    {
-      retc = (fun () -> th.st <- Done);
-      exnc =
-        (fun _exn ->
-          Counter.incr t.mach.Machine.counters "smp.thread.crashed";
-          th.st <- Done);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Invoke call ->
-              Some
-                (fun (kont : (a, unit) continuation) ->
-                  th.cont <- Some kont;
-                  handle t core th call)
-          | _ -> None);
-    }
-
-and continue_thread t core th =
-  match th.body with
-  | Some body ->
-      th.body <- None;
-      start_fiber t core th body
-  | None -> (
-      match th.cont with
-      | Some kont ->
-          th.cont <- None;
-          Effect.Deep.continue kont th.pending
-      | None -> th.st <- Done)
+let finish t th = function
+  | None -> th.st <- Done
+  | Some _ ->
+      Counter.incr t.mach.Machine.counters "smp.thread.crashed";
+      th.st <- Done
 
 let dispatch t core th =
   th.st <- Running;
@@ -342,8 +318,8 @@ let dispatch t core th =
     match pop_visible th core.hw.Cpu.now with
     | Some tag ->
         th.waiting_recv <- false;
-        th.pending <- R_msg tag;
-        continue_thread t core th
+        Fiber.set_reply th.fiber (R_msg tag);
+        Fiber.resume th.fiber ~call:handle ~finish t th
     | None -> park_recv th core.hw.Cpu.now
   end
   else if th.burn_left > 0 then begin
@@ -355,7 +331,7 @@ let dispatch t core th =
       th.ready_at <- core.hw.Cpu.now
     end
   end
-  else continue_thread t core th
+  else Fiber.resume th.fiber ~call:handle ~finish t th
 
 (* --- per-core scheduling --- *)
 

@@ -12,6 +12,7 @@ module Counter = Vmk_trace.Counter
 module Engine = Vmk_sim.Engine
 module Exec = Vmk_hw.Exec
 module Cap = Vmk_cap.Cap
+module Fiber = Exec.Fiber (Sysif)
 
 let priorities = 8
 let default_priority = 4
@@ -41,9 +42,7 @@ type tcb = {
   asid : int;
   mutable pager : tid option;
   mutable state : thread_state;
-  mutable cont : (reply, unit) Effect.Deep.continuation option;
-  mutable pending : reply;
-  mutable body : (unit -> unit) option;
+  fiber : Fiber.t;
   mutable out_msg : msg option;
   mutable wants_reply : bool;
   mutable faulting : pending_touch option;
@@ -197,10 +196,10 @@ let enqueue k tcb = Queue.add tcb k.queues.(tcb.priority)
 let ready k tcb reply =
   match tcb.state with
   | Dead -> ()
-  | Ready -> tcb.pending <- reply
+  | Ready -> Fiber.set_reply tcb.fiber reply
   | Running | Blocked_send _ | Blocked_recv _ | Blocked_call _ | Sleeping ->
       tcb.block_token <- tcb.block_token + 1;
-      tcb.pending <- reply;
+      Fiber.set_reply tcb.fiber reply;
       tcb.state <- Ready;
       enqueue k tcb
 
@@ -239,9 +238,7 @@ let make_tcb k ~name ~priority ~pager ~account ~asid ~body =
       asid;
       pager;
       state = Ready;
-      cont = None;
-      pending = R_unit;
-      body = Some body;
+      fiber = Fiber.create ~reply:R_unit body;
       out_msg = None;
       wants_reply = false;
       paused = false;
@@ -585,8 +582,7 @@ let wake_partners k (dead : tcb) =
 let terminate k (tcb : tcb) =
   if tcb.state <> Dead then begin
     tcb.state <- Dead;
-    tcb.cont <- None;
-    tcb.body <- None;
+    Fiber.stop tcb.fiber;
     tcb.out_msg <- None;
     tcb.faulting <- None;
     let lines =
@@ -622,7 +618,7 @@ let kill k tid =
 (* Unwind-kill: instead of vaporising the TCB on the spot, deliver
    [R_error Killed] as the outcome of whatever the victim is doing. The
    wrapper raises [Ipc_error Killed], the exception unwinds the fiber and
-   the exnc handler terminates it — so [Sysif.Killed] is genuinely
+   its crash path ([finish]) terminates it — so [Sysif.Killed] is genuinely
    observable and any [Fun.protect]-style cleanup in the victim runs. A
    thread that has not started yet has no operation to fail; it is
    terminated directly. *)
@@ -633,7 +629,8 @@ let inject_kill k tid =
       Counter.incr k.mach.Machine.counters "uk.thread.killed";
       tcb.faulting <- None;
       tcb.out_msg <- None;
-      if tcb.body <> None || tcb.state = Running then terminate k tcb
+      if (not (Fiber.started tcb.fiber)) || tcb.state = Running then
+        terminate k tcb
       else ready k tcb (R_error Killed)
 
 let is_alive k tid = find_alive k tid <> None
@@ -734,7 +731,7 @@ let handle_syscall k (tcb : tcb) call =
       Counter.incr_id k.mach.Machine.counters k.ids.id_syscall;
       (* Flattened [kcharged] (E21): the per-syscall closure was the one
          steady-state allocation on the IPC path. The handler body never
-         continues a fiber (replies park in [tcb.pending] until the next
+         continues a fiber (replies wait in [tcb.fiber] until the next
          dispatch), so the explicit try/restore below is the only
          exception edge. *)
       let acc = k.mach.Machine.accounts in
@@ -956,28 +953,15 @@ let handle_syscall k (tcb : tcb) call =
 
 (* --- Fibers --- *)
 
-let start_fiber k (tcb : tcb) body =
-  let open Effect.Deep in
-  match_with body ()
-    {
-      retc = (fun () -> terminate k tcb);
-      exnc =
-        (fun exn ->
-          Counter.incr k.mach.Machine.counters "uk.thread.crashed";
-          Logs.debug (fun m ->
-              m "ukernel: thread %s crashed: %s" tcb.name
-                (Printexc.to_string exn));
-          terminate k tcb);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Invoke call ->
-              Some
-                (fun (kont : (a, unit) continuation) ->
-                  tcb.cont <- Some kont;
-                  handle_syscall k tcb call)
-          | _ -> None);
-    }
+(* A thread that returns, or has nothing left to run, exits; one that
+   raises crashes. *)
+let finish k (tcb : tcb) = function
+  | None -> terminate k tcb
+  | Some exn ->
+      Counter.incr k.mach.Machine.counters "uk.thread.crashed";
+      Logs.debug (fun m ->
+          m "ukernel: thread %s crashed: %s" tcb.name (Printexc.to_string exn));
+      terminate k tcb
 
 (* --- Interrupt delivery --- *)
 
@@ -1073,20 +1057,7 @@ let dispatch k (tcb : tcb) =
       enqueue k tcb
     end
   end
-  else
-    match tcb.body with
-  | Some body ->
-      tcb.body <- None;
-      start_fiber k tcb body
-  | None -> (
-      match tcb.cont with
-      | Some kont ->
-          tcb.cont <- None;
-          Effect.Deep.continue kont tcb.pending
-      | None ->
-          (* A ready thread with no continuation and no body can only be a
-             bookkeeping bug. *)
-          terminate k tcb)
+  else Fiber.resume tcb.fiber ~call:handle_syscall ~finish k tcb
 
 let run ?until ?max_dispatches k =
   Exec.run k.mach ~irqs:deliver_irqs ~pick ~dispatch ?until ?max_dispatches k

@@ -60,6 +60,12 @@ end
 
 open Mif
 
+module Fiber = Exec.Fiber (struct
+  type call = mcall
+  type reply = mreply
+  type _ Effect.t += Invoke = Minvoke
+end)
+
 (* First-generation path lengths: a message touches port rights, a kernel
    buffer allocation and queue bookkeeping on both the send and receive
    sides. Calibrated so that short cross-task round trips land roughly
@@ -82,9 +88,7 @@ type tcb = {
   account : string;
   asid : int;
   mutable state : mstate;
-  mutable cont : (mreply, unit) Effect.Deep.continuation option;
-  mutable pending : mreply;
-  mutable body : (unit -> unit) option;
+  fiber : Fiber.t;
   mutable burn_left : int;
 }
 
@@ -127,9 +131,9 @@ let enqueue t tcb = Queue.add tcb t.runq
 let ready t tcb reply =
   match tcb.state with
   | Dead -> ()
-  | Ready -> tcb.pending <- reply
+  | Ready -> Fiber.set_reply tcb.fiber reply
   | Running | Blocked_recv _ | Blocked_send _ ->
-      tcb.pending <- reply;
+      Fiber.set_reply tcb.fiber reply;
       tcb.state <- Ready;
       enqueue t tcb
 
@@ -146,9 +150,7 @@ let spawn t ~name ?account body =
       account;
       asid;
       state = Ready;
-      cont = None;
-      pending = MR_unit;
-      body = Some body;
+      fiber = Fiber.create ~reply:MR_unit body;
       burn_left = 0;
     }
   in
@@ -218,7 +220,7 @@ let handle t (tcb : tcb) call =
       ready t tcb MR_unit
   | M_exit ->
       tcb.state <- Dead;
-      tcb.cont <- None
+      Fiber.stop tcb.fiber
   | M_port_create { qlimit } ->
       kcharged t (fun () ->
           syscall_overhead t;
@@ -270,31 +272,15 @@ let handle t (tcb : tcb) call =
           deliver t p
     end
 
-let start_fiber t (tcb : tcb) body =
-  let open Effect.Deep in
-  match_with body ()
-    {
-      retc =
-        (fun () ->
-          tcb.state <- Dead;
-          tcb.cont <- None);
-      exnc =
-        (fun exn ->
-          Counter.incr t.mach.Machine.counters "mach.thread_crashed";
-          Logs.debug (fun m ->
-              m "mach: thread %s crashed: %s" tcb.name (Printexc.to_string exn));
-          tcb.state <- Dead;
-          tcb.cont <- None);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Minvoke call ->
-              Some
-                (fun (kont : (a, unit) continuation) ->
-                  tcb.cont <- Some kont;
-                  handle t tcb call)
-          | _ -> None);
-    }
+(* A thread that returns, or has nothing left to run, is dead; one that
+   raises crashes. *)
+let finish t (tcb : tcb) = function
+  | None -> tcb.state <- Dead
+  | Some exn ->
+      Counter.incr t.mach.Machine.counters "mach.thread_crashed";
+      Logs.debug (fun m ->
+          m "mach: thread %s crashed: %s" tcb.name (Printexc.to_string exn));
+      tcb.state <- Dead
 
 (* For the tickless burst rule ([Exec.slice]): could any other thread
    take the core mid-burst? *)
@@ -322,17 +308,7 @@ let dispatch t (tcb : tcb) =
       enqueue t tcb
     end
   end
-  else
-    match tcb.body with
-    | Some body ->
-        tcb.body <- None;
-        start_fiber t tcb body
-    | None -> (
-        match tcb.cont with
-        | Some kont ->
-            tcb.cont <- None;
-            Effect.Deep.continue kont tcb.pending
-        | None -> tcb.state <- Dead)
+  else Fiber.resume tcb.fiber ~call:handle ~finish t tcb
 
 let rec pick t =
   match Queue.take_opt t.runq with

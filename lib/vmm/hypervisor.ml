@@ -15,6 +15,12 @@ module Engine = Vmk_sim.Engine
 module Exec = Vmk_hw.Exec
 module Cap = Vmk_cap.Cap
 
+module Fiber = Exec.Fiber (struct
+  type call = hcall
+  type reply = hreply
+  type _ Effect.t += Invoke = Hcall.Invoke
+end)
+
 let vmm_account = "vmm"
 let vmm_hole = Addr.range ~start:0xF000_0000 ~len:0x1000_0000
 
@@ -47,9 +53,7 @@ type domain = {
   pt_mode : pt_mode;
   mutable pass : int64;  (** Stride-scheduler virtual time. *)
   mutable state : dom_state;
-  mutable cont : (hreply, unit) Effect.Deep.continuation option;
-  mutable pending_reply : hreply;
-  mutable body : (unit -> unit) option;
+  fiber : Fiber.t;
   ports : (port, chan_state) Hashtbl.t;
   pending_events : (port, unit) Hashtbl.t;
   grants : (gref, grant_entry) Hashtbl.t;
@@ -195,9 +199,9 @@ let ready h d reply =
   ignore h;
   match d.state with
   | Dead -> ()
-  | Ready -> d.pending_reply <- reply
+  | Ready -> Fiber.set_reply d.fiber reply
   | Running | Blocked ->
-      d.pending_reply <- reply;
+      Fiber.set_reply d.fiber reply;
       d.state <- Ready
 
 let create_domain h ~name ?(privileged = false) ?(weight = 256)
@@ -216,9 +220,7 @@ let create_domain h ~name ?(privileged = false) ?(weight = 256)
       pt_mode;
       pass = 0L;
       state = Ready;
-      cont = None;
-      pending_reply = R_unit;
-      body = Some body;
+      fiber = Fiber.create ~reply:R_unit body;
       ports = Hashtbl.create 8;
       pending_events = Hashtbl.create 8;
       grants = Hashtbl.create 16;
@@ -706,8 +708,7 @@ let do_syscall_trap h (d : domain) =
 let kill_domain_internal h (d : domain) =
   if d.state <> Dead then begin
     d.state <- Dead;
-    d.cont <- None;
-    d.body <- None;
+    Fiber.stop d.fiber;
     Hashtbl.reset d.pending_events;
     let lines =
       Hashtbl.fold
@@ -1078,27 +1079,15 @@ let handle_hypercall h (d : domain) call =
 
 (* --- fibers --- *)
 
-let start_fiber h (d : domain) body =
-  let open Effect.Deep in
-  match_with body ()
-    {
-      retc = (fun () -> kill_domain_internal h d);
-      exnc =
-        (fun exn ->
-          Counter.incr h.mach.Machine.counters "vmm.domain_crashed";
-          Logs.debug (fun m ->
-              m "vmm: domain %s crashed: %s" d.name (Printexc.to_string exn));
-          kill_domain_internal h d);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Invoke call ->
-              Some
-                (fun (kont : (a, unit) continuation) ->
-                  d.cont <- Some kont;
-                  handle_hypercall h d call)
-          | _ -> None);
-    }
+(* A domain whose body returns, or has nothing left to run, is
+   destroyed; one that raises crashes. *)
+let finish h (d : domain) = function
+  | None -> kill_domain_internal h d
+  | Some exn ->
+      Counter.incr h.mach.Machine.counters "vmm.domain_crashed";
+      Logs.debug (fun m ->
+          m "vmm: domain %s crashed: %s" d.name (Printexc.to_string exn));
+      kill_domain_internal h d
 
 (* --- physical interrupt routing --- *)
 
@@ -1185,17 +1174,7 @@ let dispatch h (d : domain) =
        (* Still alive (fault injection may have killed it mid-burn). *)
        d.state <- Ready
    end
-   else
-     match d.body with
-     | Some body ->
-         d.body <- None;
-         start_fiber h d body
-     | None -> (
-         match d.cont with
-         | Some kont ->
-             d.cont <- None;
-             Effect.Deep.continue kont d.pending_reply
-         | None -> kill_domain_internal h d));
+   else Fiber.resume d.fiber ~call:handle_hypercall ~finish h d);
   charge_pass h d ~cycles:(Int64.sub (Machine.now h.mach) t0)
 
 let run ?until ?max_dispatches h =

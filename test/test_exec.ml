@@ -3,7 +3,8 @@
    the state slicing reaches, and each guard must keep it from jumping
    when something could take the core mid-burst. Every burst case runs
    on the three kernels that share the rule; the idle-jump case runs on
-   the L4-style kernel, the one with a plain sleep. *)
+   the L4-style kernel, the one with a plain sleep. The fiber runtime
+   every executor shares ([Exec.Fiber]) is tested on a toy effect. *)
 
 module Machine = Vmk_hw.Machine
 module Irq = Vmk_hw.Irq
@@ -158,6 +159,79 @@ let test_lone_sleeper () =
   Alcotest.(check int64) "clock" 10_001_330L (Machine.now mach);
   Alcotest.(check int) "idle jumps" 1 (Engine.idle_jumps mach.Machine.engine)
 
+(* --- Exec.Fiber on a toy effect: the call is an int, so is the reply --- *)
+
+module Toy_effect = struct
+  type call = int
+  type reply = int
+  type _ Effect.t += Invoke : call -> reply Effect.t
+end
+
+module Fiber = Exec.Fiber (Toy_effect)
+
+let ask n = Effect.perform (Toy_effect.Invoke n)
+
+(* What the executor saw, newest first. *)
+type seen = { mutable calls : int list; mutable ends : exn option list }
+
+let on_call () seen c = seen.calls <- c :: seen.calls
+let on_finish () seen e = seen.ends <- e :: seen.ends
+
+let toy body =
+  let seen = { calls = []; ends = [] } in
+  let f = Fiber.create ~reply:0 body in
+  (f, seen, fun () -> Fiber.resume f ~call:on_call ~finish:on_finish () seen)
+
+let ends = Alcotest.(list (option string))
+let names seen = List.map (Option.map Printexc.to_string) seen.ends
+
+let test_fiber_replies_in_order () =
+  let got = ref [] in
+  let f, seen, resume =
+    toy (fun () -> for i = 1 to 3 do got := ask i :: !got done)
+  in
+  Alcotest.(check bool) "not started" false (Fiber.started f);
+  resume ();
+  Alcotest.(check bool) "started" true (Fiber.started f);
+  List.iter
+    (fun r ->
+      Fiber.set_reply f r;
+      resume ())
+    [ 10; 20; 30 ];
+  Alcotest.(check (list int)) "calls" [ 3; 2; 1 ] seen.calls;
+  Alcotest.(check (list int)) "replies" [ 30; 20; 10 ] !got;
+  Alcotest.check ends "returned" [ None ] (names seen)
+
+let test_fiber_finish_once () =
+  let _, seen, resume = toy (fun () -> ignore (ask 1)) in
+  resume ();
+  Alcotest.check ends "parked" [] (names seen);
+  resume ();
+  Alcotest.check ends "return" [ None ] (names seen);
+  let _, seen, resume = toy (fun () -> ignore (ask 1); raise Exit) in
+  resume ();
+  resume ();
+  Alcotest.check ends "raise" [ Some (Printexc.to_string Exit) ] (names seen)
+
+let test_fiber_stop () =
+  let after = ref false in
+  let f, seen, resume =
+    toy (fun () ->
+        ignore
+          (Fun.protect ~finally:(fun () -> after := true) (fun () -> ask 1)))
+  in
+  resume ();
+  Fiber.stop f;
+  resume ();
+  Alcotest.(check bool) "nothing after the parked call" false !after;
+  Alcotest.(check (list int)) "one call" [ 1 ] seen.calls;
+  Alcotest.check ends "finished" [ None ] (names seen);
+  let f, seen, resume = toy (fun () -> after := true) in
+  Fiber.stop f;
+  resume ();
+  Alcotest.(check bool) "stopped before start never runs" false !after;
+  Alcotest.check ends "finished unstarted" [ None ] (names seen)
+
 let suite =
   [
     Alcotest.test_case "lone burner jumps to e21 clock" `Quick test_lone_burner;
@@ -169,4 +243,10 @@ let suite =
       test_co_runnable_interleave;
     Alcotest.test_case "lone sleeper jumps its idle gap once" `Quick
       test_lone_sleeper;
+    Alcotest.test_case "fiber: replies reach the body in order" `Quick
+      test_fiber_replies_in_order;
+    Alcotest.test_case "fiber: finish once, None or Some e" `Quick
+      test_fiber_finish_once;
+    Alcotest.test_case "fiber: stop drops the parked call" `Quick
+      test_fiber_stop;
   ]

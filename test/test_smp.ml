@@ -274,6 +274,31 @@ let test_tickless_pays_skipped_refills () =
     (run_random_workload ~tickless:true ~cpus:2 ~ops
     = run_random_workload ~tickless:false ~cpus:2 ~ops)
 
+(* A thread that raises ends alone: it is counted, marked done, and the
+   thread on the other core runs to completion. *)
+let test_crash_is_contained () =
+  let mach = Machine.create ~cpus:2 ~seed:1L () in
+  let smp = Smp.create mach in
+  let crasher =
+    Smp.spawn smp ~name:"crasher" ~cpu:0 (fun () ->
+        Smp.yield ();
+        failwith "bug")
+  in
+  let finished = ref false in
+  let other =
+    Smp.spawn smp ~name:"other" ~cpu:1 (fun () ->
+        for _ = 1 to 5 do
+          Smp.burn 2_000
+        done;
+        finished := true)
+  in
+  check Alcotest.bool "went idle" true (Smp.run smp = Smp.Idle);
+  check int "crash counted" 1
+    (Counter.get mach.Machine.counters "smp.thread.crashed");
+  check Alcotest.bool "crasher done" true (Smp.is_done smp crasher);
+  check Alcotest.bool "other core completes" true
+    (!finished && Smp.is_done smp other)
+
 let test_e14_shapes () =
   let module E = Vmk_core.Exp_e14 in
   let module S = Vmk_core.Scenario in
@@ -304,4 +329,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tickless_equivalence;
     Alcotest.test_case "tickless pays skipped credit refills" `Quick
       test_tickless_pays_skipped_refills;
+    Alcotest.test_case "crash is contained" `Quick test_crash_is_contained;
   ]
