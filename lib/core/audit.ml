@@ -9,6 +9,7 @@ type entry = {
 }
 
 open Taxonomy
+module Cache = Vmk_hw.Cache
 
 let microkernel =
   [
@@ -19,7 +20,7 @@ let microkernel =
          map/grant items";
       roles = [ Control_transfer; Data_transfer; Resource_delegation ];
       security_checks = 3; (* partner liveness, receive filter, map rights *)
-      icache_lines = Vmk_ukernel.Costs.icache_lines_ipc;
+      icache_lines = Cache.region_lines Vmk_ukernel.Costs.ipc_region;
       implemented_in = "Vmk_ukernel.Kernel";
       evidence_counter = "uk.ipc.rendezvous";
     };
@@ -59,7 +60,7 @@ let vmm =
       description = "§2.2(1): synchronous guest-user to guest-kernel switch";
       roles = [ Control_transfer ];
       security_checks = 3; (* trap table registered, gates exist, segments *)
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.syscall_bounce";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.syscall_bounce_region;
       implemented_in = "Vmk_vmm.Hypervisor (H_syscall_trap)";
       evidence_counter = "vmm.syscall_bounce";
     };
@@ -68,7 +69,7 @@ let vmm =
       description = "§2.2(2): guest-kernel to guest-user return path";
       roles = [ Control_transfer ];
       security_checks = 1;
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.trap";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.trap_region;
       implemented_in = "Vmk_vmm.Hypervisor (trap table)";
       evidence_counter = "vmm.syscall_fast";
     };
@@ -77,7 +78,7 @@ let vmm =
       description = "§2.2(3): asynchronous cross-domain channels";
       roles = [ Control_transfer ];
       security_checks = 3; (* port bound, peer alive, binding permission *)
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.evtchn";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.evtchn_region;
       implemented_in = "Vmk_vmm.Hypervisor (evtchn ops)";
       evidence_counter = "vmm.evtchn_send";
     };
@@ -86,7 +87,7 @@ let vmm =
       description = "§2.2(4): per-VM resource allocation via hypercalls";
       roles = [ Resource_delegation ];
       security_checks = 2; (* reservation limits, caller identity *)
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.memory";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.memory_region;
       implemented_in = "Vmk_vmm.Hypervisor (H_alloc_frames)";
       evidence_counter = "vmm.hypercall";
     };
@@ -95,7 +96,7 @@ let vmm =
       description = "§2.2(5): validated guest page-table updates";
       roles = [ Resource_delegation ];
       security_checks = 2; (* frame ownership, type safety *)
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.pt";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.pt_region;
       implemented_in = "Vmk_vmm.Hypervisor (H_pt_map/H_pt_unmap)";
       evidence_counter = "vmm.pt_update";
     };
@@ -104,7 +105,7 @@ let vmm =
       description = "§2.2(6): resource re-allocation via grant transfer";
       roles = [ Data_transfer; Resource_delegation ];
       security_checks = 2; (* frame ownership, target liveness *)
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.grant_transfer";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.grant_transfer_region;
       implemented_in = "Vmk_vmm.Hypervisor (H_gnttab_transfer)";
       evidence_counter = "vmm.page_flip";
     };
@@ -113,7 +114,7 @@ let vmm =
       description = "§2.2(7): page-fault and exception bouncing";
       roles = [ Control_transfer ];
       security_checks = 2;
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.trap";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.trap_region;
       implemented_in = "Vmk_vmm.Hypervisor (trap paths)";
       evidence_counter = "vmm.syscall_bounce";
     };
@@ -122,7 +123,7 @@ let vmm =
       description = "§2.2(8): asynchronous event notification (upcalls)";
       roles = [ Control_transfer ];
       security_checks = 1;
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.sched";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.sched_region;
       implemented_in = "Vmk_vmm.Hypervisor (upcall path)";
       evidence_counter = "vmm.upcall";
     };
@@ -131,7 +132,7 @@ let vmm =
       description = "§2.2(9): physical IRQs via the virtual controller";
       roles = [ Control_transfer ];
       security_checks = 2; (* privilege, line validity *)
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.irq";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.irq_region;
       implemented_in = "Vmk_vmm.Hypervisor (H_irq_bind + routing)";
       evidence_counter = "vmm.irq";
     };
@@ -140,7 +141,7 @@ let vmm =
       description = "§2.2(10): common devices (NIC, disk) via split drivers";
       roles = [ Data_transfer ];
       security_checks = 3; (* grant validation per request, ring bounds *)
-      icache_lines = Vmk_vmm.Costs.icache_lines_for "vmm.hcall.grant_map";
+      icache_lines = Cache.region_lines Vmk_vmm.Costs.grant_map_region;
       implemented_in = "Vmk_vmm.Netback / Vmk_vmm.Blkback";
       evidence_counter = "netback.rx_packets";
     };

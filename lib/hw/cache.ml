@@ -1,15 +1,34 @@
-type line = { region : string; index : int }
+type region = { base : int; lines : int }
 
+(* Key 0 is the LRU list's sentinel; regions own the keys after it. The
+   counter only sizes each cache's arrays. *)
+let next_key = ref 1
+
+let region ~lines =
+  if lines < 1 then invalid_arg "Cache.region: lines < 1";
+  let r = { base = !next_key; lines } in
+  next_key := !next_key + lines;
+  r
+
+let region_lines r = r.lines
+let absent = -1
+
+(* The resident keys form a doubly-linked list through [prev] and [next],
+   most recently used at [next.(0)], next victim at [prev.(0)]; a key that
+   is not resident has [prev.(k) = absent]. *)
 type t = {
   capacity : int;
   line_bytes : int;
   refill_cost : int;
-  mutable lines : line list; (* most-recently-used first *)
-  mutable hits : int;
+  mutable prev : int array;
+  mutable next : int array;
+  mutable resident : int;
   mutable misses : int;
   mutable miss_cycles : int;
 }
 
+(* The arrays hold only the sentinel until the first touch: the SMP cells
+   build eight cores' caches and never touch one. *)
 let create ~lines ~line_bytes ~refill_cost =
   if lines < 1 || line_bytes < 1 || refill_cost < 1 then
     invalid_arg "Cache.create: parameters must be >= 1";
@@ -17,8 +36,9 @@ let create ~lines ~line_bytes ~refill_cost =
     capacity = lines;
     line_bytes;
     refill_cost;
-    lines = [];
-    hits = 0;
+    prev = [| 0 |];
+    next = [| 0 |];
+    resident = 0;
     misses = 0;
     miss_cycles = 0;
   }
@@ -27,49 +47,62 @@ let of_profile (p : Arch.profile) =
   create ~lines:p.Arch.icache_lines ~line_bytes:p.Arch.cacheline_bytes
     ~refill_cost:p.Arch.tlb_refill_cost
 
-let truncate n xs =
-  let rec take i = function
-    | [] -> []
-    | _ when i = 0 -> []
-    | x :: rest -> x :: take (i - 1) rest
-  in
-  take n xs
+let grow t =
+  let extend a = Array.append a (Array.make (!next_key - Array.length a) absent) in
+  t.prev <- extend t.prev;
+  t.next <- extend t.next
 
-let touch_line t line =
-  let rec split acc = function
-    | [] -> None
-    | l :: rest when l = line -> Some (List.rev_append acc rest)
-    | l :: rest -> split (l :: acc) rest
-  in
-  match split [] t.lines with
-  | Some rest ->
-      t.hits <- t.hits + 1;
-      t.lines <- line :: rest;
-      0
-  | None ->
-      t.misses <- t.misses + 1;
-      t.miss_cycles <- t.miss_cycles + t.refill_cost;
-      t.lines <- truncate t.capacity (line :: t.lines);
-      t.refill_cost
+let unlink t k =
+  let p = t.prev.(k) and n = t.next.(k) in
+  t.next.(p) <- n;
+  t.prev.(n) <- p
 
-let touch t ~region ~lines =
+let push_front t k =
+  let h = t.next.(0) in
+  t.prev.(k) <- 0;
+  t.next.(k) <- h;
+  t.prev.(h) <- k;
+  t.next.(0) <- k
+
+let touch_line t k =
+  if t.prev.(k) <> absent then begin
+    unlink t k;
+    push_front t k;
+    0
+  end
+  else begin
+    if t.resident = t.capacity then begin
+      let lru = t.prev.(0) in
+      unlink t lru;
+      t.prev.(lru) <- absent
+    end
+    else t.resident <- t.resident + 1;
+    push_front t k;
+    t.misses <- t.misses + 1;
+    t.miss_cycles <- t.miss_cycles + t.refill_cost;
+    t.refill_cost
+  end
+
+let touch t r =
+  if r.base + r.lines > Array.length t.prev then grow t;
   let cost = ref 0 in
-  for index = 0 to lines - 1 do
-    cost := !cost + touch_line t { region; index }
+  for k = r.base to r.base + r.lines - 1 do
+    cost := !cost + touch_line t k
   done;
   !cost
 
-let footprint_bytes t ~region =
-  t.line_bytes
-  * List.length (List.filter (fun l -> l.region = region) t.lines)
+let footprint_bytes t r =
+  let n = ref 0 in
+  for k = r.base to min (r.base + r.lines) (Array.length t.prev) - 1 do
+    if t.prev.(k) <> absent then incr n
+  done;
+  t.line_bytes * !n
 
-let resident_lines t = List.length t.lines
-let hits t = t.hits
+let resident_lines t = t.resident
 let misses t = t.misses
 let miss_cycles t = t.miss_cycles
-let flush t = t.lines <- []
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.miss_cycles <- 0
+let flush t =
+  t.prev <- [| 0 |];
+  t.next <- [| 0 |];
+  t.resident <- 0

@@ -25,14 +25,8 @@ let create ~entries ~tagged =
 let of_profile (p : Arch.profile) =
   create ~entries:p.Arch.tlb_entries ~tagged:p.Arch.tlb_tagged
 
-let tagged t = t.tagged
-let capacity t = t.capacity
-
 let lookup t ~asid ~vpn =
-  let matches s =
-    s.vpn = vpn && (if t.tagged then s.asid = asid else asid = t.context)
-    && s.asid = asid
-  in
+  let matches s = s.vpn = vpn && s.asid = asid && (t.tagged || asid = t.context) in
   let rec split acc = function
     | [] -> None
     | s :: rest when matches s -> Some (s, List.rev_append acc rest)
@@ -76,8 +70,3 @@ let hits t = t.hits
 let misses t = t.misses
 let flushes t = t.flushes
 let live_entries t = List.length t.slots
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0

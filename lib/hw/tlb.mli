@@ -14,9 +14,6 @@ val create : entries:int -> tagged:bool -> t
 val of_profile : Arch.profile -> t
 (** TLB dimensioned from a platform profile. *)
 
-val tagged : t -> bool
-val capacity : t -> int
-
 val lookup : t -> asid:int -> vpn:int -> Page_table.pte option
 (** Probe; updates hit/miss counters and LRU order. On untagged TLBs the
     [asid] must match the last {!set_context}; stale entries never hit. *)
@@ -40,4 +37,3 @@ val flushes : t -> int
 (** Number of full flushes performed. *)
 
 val live_entries : t -> int
-val reset_stats : t -> unit

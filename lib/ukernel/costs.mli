@@ -22,5 +22,5 @@ val syscall_fixed : int
 val irq_to_ipc : int
 (** Converting a hardware interrupt into an IPC message. *)
 
-val icache_lines_ipc : int
-(** I-cache lines the unified IPC path touches (experiment E9). *)
+val ipc_region : Vmk_hw.Cache.region
+(** The i-cache lines the unified IPC path touches (experiment E9). *)

@@ -272,10 +272,7 @@ let transfer_cost k msg =
   let extra = max 0 (nwords - Costs.free_words) in
   let bytes = str_total msg in
   Counter.add_id counters k.ids.id_ipc_bytes bytes;
-  let icache_miss =
-    Cache.touch k.mach.Machine.icache ~region:"ipc.path"
-      ~lines:Costs.icache_lines_ipc
-  in
+  let icache_miss = Cache.touch k.mach.Machine.icache Costs.ipc_region in
   kburn k
     (Costs.ipc_path
     + (extra * Costs.per_extra_word)

@@ -1,7 +1,7 @@
 (** Hypervisor path-length constants.
 
     Each VMM primitive has its own code path (and so its own i-cache
-    region, see {!icache_lines_for}); the paper's §2.2 point is precisely
+    region, see {!dispatch_region}); the paper's §2.2 point is precisely
     this multiplicity versus the microkernel's single IPC path. Values
     are calibrated against Xen 2.x-era measurements: hypercalls are a few
     hundred cycles of hypervisor work, a grant-map costs page-table
@@ -44,6 +44,18 @@ val domain_build : int
     Dwarfed by what a real builder pays to load a kernel image, but
     enough that restarting a driver domain is visibly not free. *)
 
-val icache_lines_for : string -> int
-(** I-cache lines touched by one primitive path's region (experiment
-    E9); [0] if unknown. Regions are disjoint — that is the point. *)
+val dispatch_region : Vmk_hw.Cache.region
+(** I-cache regions of the hypercall paths (experiment E9): every
+    hypercall touches [dispatch_region], then its primitive's own region.
+    Regions are disjoint — that is the point. *)
+
+val sched_region : Vmk_hw.Cache.region
+val evtchn_region : Vmk_hw.Cache.region
+val grant_map_region : Vmk_hw.Cache.region
+val grant_transfer_region : Vmk_hw.Cache.region
+val pt_region : Vmk_hw.Cache.region
+val trap_region : Vmk_hw.Cache.region
+val memory_region : Vmk_hw.Cache.region
+val irq_region : Vmk_hw.Cache.region
+val syscall_bounce_region : Vmk_hw.Cache.region
+val domctl_region : Vmk_hw.Cache.region

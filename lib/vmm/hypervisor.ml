@@ -296,16 +296,13 @@ let dirty_count h domid =
 
 let vburn h cycles = Machine.burn h.mach cycles
 
-let touch_region h region =
-  vburn h
-    (Cache.touch h.mach.Machine.icache ~region
-       ~lines:(Costs.icache_lines_for region))
+let touch_region h region = vburn h (Cache.touch h.mach.Machine.icache region)
 
 let hypercall_overhead h region =
   let arch = h.mach.Machine.arch in
   Counter.incr_id h.mach.Machine.counters h.ids.id_hypercall;
   vburn h (arch.Arch.trap_cost + Costs.hypercall_fixed + arch.Arch.kernel_exit_cost);
-  touch_region h "vmm.hcall.dispatch";
+  touch_region h Costs.dispatch_region;
   touch_region h region
 
 (* --- events --- *)
@@ -699,7 +696,7 @@ let do_syscall_trap h (d : domain) =
     vburn h
       (arch.Arch.trap_cost + Costs.syscall_bounce + arch.Arch.kernel_exit_cost
      + arch.Arch.trap_cost + arch.Arch.kernel_exit_cost);
-    touch_region h "vmm.hcall.syscall_bounce";
+    touch_region h Costs.syscall_bounce_region;
     R_syscall Bounced
   end
 
@@ -773,19 +770,19 @@ let handle_hypercall h (d : domain) call =
       d.burn_left <- max 0 n;
       ready h d R_unit
   | H_dom_id ->
-      ( hypercall_overhead h "vmm.hcall.dispatch");
+      ( hypercall_overhead h Costs.dispatch_region);
       ready h d (R_domid d.domid)
   | H_yield ->
-      ( hypercall_overhead h "vmm.hcall.sched");
+      ( hypercall_overhead h Costs.sched_region);
       ready h d R_unit
   | H_poll ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h Costs.evtchn_region;
           let ports = collect_events d in
           ready h d (R_block (Events ports)))
   | H_block { timeout } ->
       (
-          hypercall_overhead h "vmm.hcall.sched";
+          hypercall_overhead h Costs.sched_region;
           if Hashtbl.length d.pending_events > 0 then
             ready h d (R_block (Events (collect_events d)))
           else begin
@@ -801,7 +798,7 @@ let handle_hypercall h (d : domain) call =
           end)
   | H_alloc_frames n ->
       (
-          hypercall_overhead h "vmm.hcall.memory";
+          hypercall_overhead h Costs.memory_region;
           if n <= 0 then ready h d (R_error Out_of_memory)
           else
             match Frame.alloc_many h.mach.Machine.frames ~owner:d.name n with
@@ -811,14 +808,14 @@ let handle_hypercall h (d : domain) call =
             | exception Frame.Out_of_frames -> ready h d (R_error Out_of_memory))
   | H_evtchn_alloc_unbound allowed ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h Costs.evtchn_region;
           let port = d.next_port in
           d.next_port <- d.next_port + 1;
           Hashtbl.add d.ports port (Unbound { allowed });
           ready h d (R_port port))
   | H_evtchn_bind { remote_dom; remote_port } ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h Costs.evtchn_region;
           match find_alive h remote_dom with
           | None -> ready h d (R_error Dead_domain)
           | Some peer -> (
@@ -834,11 +831,11 @@ let handle_hypercall h (d : domain) call =
               | Some _ | None -> ready h d (R_error Bad_port)))
   | H_evtchn_send port ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h Costs.evtchn_region;
           ready h d (do_evtchn_send h d port))
   | H_irq_bind line ->
       (
-          hypercall_overhead h "vmm.hcall.irq";
+          hypercall_overhead h Costs.irq_region;
           if not d.privileged then ready h d (R_error Permission_denied)
           else if line < 0 || line >= Irq.lines h.mach.Machine.irq then
             ready h d (R_error Bad_port)
@@ -856,30 +853,30 @@ let handle_hypercall h (d : domain) call =
       ( ready h d (do_grant_revoke h d gref))
   | H_gnttab_map { dom; gref } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_map";
+          hypercall_overhead h Costs.grant_map_region;
           ready h d (do_grant_map h d ~dom ~gref))
   | H_gnttab_unmap { dom; gref } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_map";
+          hypercall_overhead h Costs.grant_map_region;
           ready h d (do_grant_unmap h d ~dom ~gref))
   | H_gnttab_transfer { to_dom; frame } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_transfer";
+          hypercall_overhead h Costs.grant_transfer_region;
           ready h d (do_grant_transfer h d ~to_dom ~frame))
   | H_gnttab_exchange { dom; gref; give } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_transfer";
+          hypercall_overhead h Costs.grant_transfer_region;
           ready h d (do_grant_exchange h d ~dom ~gref ~give))
   | H_gnttab_copy { dom; gref; bytes; tag } ->
       (
-          hypercall_overhead h "vmm.hcall.grant_map";
+          hypercall_overhead h Costs.grant_map_region;
           ready h d (do_grant_copy h d ~dom ~gref ~bytes ~tag))
   | H_pt_map { frame; vpn; writable } ->
       (
           let arch = h.mach.Machine.arch in
           (match d.pt_mode with
           | Paravirt ->
-              hypercall_overhead h "vmm.hcall.pt";
+              hypercall_overhead h Costs.pt_region;
               vburn h (Costs.pt_validate + arch.Arch.pt_update_cost)
           | Shadow ->
               (* The guest's native PTE write faults on the write-protected
@@ -890,7 +887,7 @@ let handle_hypercall h (d : domain) call =
                 (arch.Arch.trap_cost + arch.Arch.kernel_exit_cost
                + Costs.shadow_sync
                 + (2 * arch.Arch.pt_update_cost));
-              touch_region h "vmm.hcall.pt");
+              touch_region h Costs.pt_region);
           if frame.Frame.owner <> d.name then
             ready h d (R_error Permission_denied)
           else begin
@@ -903,7 +900,7 @@ let handle_hypercall h (d : domain) call =
           let arch = h.mach.Machine.arch in
           (match d.pt_mode with
           | Paravirt ->
-              hypercall_overhead h "vmm.hcall.pt";
+              hypercall_overhead h Costs.pt_region;
               vburn h (Costs.pt_validate + arch.Arch.pt_update_cost)
           | Shadow ->
               Counter.incr_id h.mach.Machine.counters h.ids.id_shadow_sync;
@@ -911,7 +908,7 @@ let handle_hypercall h (d : domain) call =
                 (arch.Arch.trap_cost + arch.Arch.kernel_exit_cost
                + Costs.shadow_sync
                 + (2 * arch.Arch.pt_update_cost));
-              touch_region h "vmm.hcall.pt");
+              touch_region h Costs.pt_region);
           ignore (Page_table.unmap d.space ~vpn);
           Tlb.invalidate h.mach.Machine.tlb ~asid:(Page_table.asid d.space) ~vpn;
           Counter.incr_id h.mach.Machine.counters h.ids.id_pt_update;
@@ -936,7 +933,7 @@ let handle_hypercall h (d : domain) call =
           (match d.pt_mode with
           | Paravirt ->
               (* One trap amortised over the whole batch. *)
-              hypercall_overhead h "vmm.hcall.pt";
+              hypercall_overhead h Costs.pt_region;
               List.iter
                 (fun op ->
                   vburn h (Costs.pt_validate + arch.Arch.pt_update_cost);
@@ -951,44 +948,44 @@ let handle_hypercall h (d : domain) call =
                     (arch.Arch.trap_cost + arch.Arch.kernel_exit_cost
                    + Costs.shadow_sync
                     + (2 * arch.Arch.pt_update_cost));
-                  touch_region h "vmm.hcall.pt";
+                  touch_region h Costs.pt_region;
                   apply op)
                 ops);
           ready h d R_unit)
   | H_set_trap_table { int80_direct } ->
       (
-          hypercall_overhead h "vmm.hcall.trap";
+          hypercall_overhead h Costs.trap_region;
           d.int80_direct <- int80_direct;
           ready h d R_unit)
   | H_load_segment (sel, desc) ->
       (
           (* Paravirtualised descriptor update: a real hypercall. *)
-          hypercall_overhead h "vmm.hcall.trap";
+          hypercall_overhead h Costs.trap_region;
           vburn h h.mach.Machine.arch.Arch.segment_reload_cost;
           Segments.load d.segments sel desc;
           ready h d R_unit)
   | H_syscall_trap -> ready h d (do_syscall_trap h d)
   | H_xs_write { path; value } ->
       (
-          hypercall_overhead h "vmm.hcall.dispatch";
+          hypercall_overhead h Costs.dispatch_region;
           do_xs_write h path value;
           ready h d R_unit)
   | H_xs_read path ->
       (
-          hypercall_overhead h "vmm.hcall.dispatch";
+          hypercall_overhead h Costs.dispatch_region;
           ready h d (R_xs (Hashtbl.find_opt h.xenstore path)))
   | H_xs_rm path ->
       (
-          hypercall_overhead h "vmm.hcall.dispatch";
+          hypercall_overhead h Costs.dispatch_region;
           Hashtbl.remove h.xenstore path;
           ready h d R_unit)
   | H_xs_watch prefix ->
       (
-          hypercall_overhead h "vmm.hcall.evtchn";
+          hypercall_overhead h Costs.evtchn_region;
           ready h d (R_port (do_xs_watch h d prefix)))
   | H_dom_create { cd_name; cd_privileged; cd_weight; cd_body } ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h Costs.domctl_region;
           if not d.privileged then ready h d (R_error Permission_denied)
           else if cd_weight < 1 then
             ready h d (R_error (Not_virtualisable "weight"))
@@ -1002,11 +999,11 @@ let handle_hypercall h (d : domain) call =
           end)
   | H_dom_alive domid ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h Costs.domctl_region;
           ready h d (R_bool (is_alive h domid)))
   | H_dom_pause domid ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h Costs.domctl_region;
           if not d.privileged then ready h d (R_error Permission_denied)
           else
             match find_alive h domid with
@@ -1017,7 +1014,7 @@ let handle_hypercall h (d : domain) call =
                 ready h d R_unit)
   | H_dom_unpause domid ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h Costs.domctl_region;
           if not d.privileged then ready h d (R_error Permission_denied)
           else
             match find_alive h domid with
@@ -1032,7 +1029,7 @@ let handle_hypercall h (d : domain) call =
                 ready h d R_unit)
   | H_log_dirty { ld_dom; ld_enable } ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h Costs.domctl_region;
           if not d.privileged then ready h d (R_error Permission_denied)
           else
             match find_alive h ld_dom with
@@ -1046,7 +1043,7 @@ let handle_hypercall h (d : domain) call =
                 ready h d R_unit)
   | H_dirty_read domid ->
       (
-          hypercall_overhead h "vmm.hcall.domctl";
+          hypercall_overhead h Costs.domctl_region;
           if not d.privileged then ready h d (R_error Permission_denied)
           else
             match find_alive h domid with

@@ -185,24 +185,117 @@ let test_tlb_untagged_wrong_context_never_hits () =
 
 let test_cache_touch_costs_then_free () =
   let c = Cache.create ~lines:64 ~line_bytes:64 ~refill_cost:10 in
-  let cost1 = Cache.touch c ~region:"ipc" ~lines:8 in
+  let ipc = Cache.region ~lines:8 in
+  let cost1 = Cache.touch c ipc in
   check_int "cold misses" 80 cost1;
-  let cost2 = Cache.touch c ~region:"ipc" ~lines:8 in
+  let cost2 = Cache.touch c ipc in
   check_int "warm hits free" 0 cost2;
-  check_int "footprint" (8 * 64) (Cache.footprint_bytes c ~region:"ipc")
+  check_int "footprint" (8 * 64) (Cache.footprint_bytes c ipc)
 
 let test_cache_eviction_under_pressure () =
   let c = Cache.create ~lines:4 ~line_bytes:64 ~refill_cost:10 in
-  ignore (Cache.touch c ~region:"a" ~lines:4);
-  ignore (Cache.touch c ~region:"b" ~lines:4);
-  let cost = Cache.touch c ~region:"a" ~lines:4 in
-  check_bool "a was evicted, must refill" true (cost > 0)
+  let a = Cache.region ~lines:4 and b = Cache.region ~lines:4 in
+  ignore (Cache.touch c a);
+  ignore (Cache.touch c b);
+  check_int "a was evicted, refills all 4 lines" 40 (Cache.touch c a)
 
 let test_cache_of_profile_flush () =
   let c = Cache.of_profile Arch.default in
-  ignore (Cache.touch c ~region:"x" ~lines:2);
+  ignore (Cache.touch c (Cache.region ~lines:2));
   Cache.flush c;
   check_int "flushed" 0 (Cache.resident_lines c)
+
+(* Hypercall and IPC paths touch their region on every call; once it is
+   resident that must cost no allocation. *)
+let test_cache_warm_touch_allocates_nothing () =
+  let c = Cache.of_profile Arch.default in
+  let pt = Vmk_vmm.Costs.pt_region in
+  ignore (Cache.touch c pt);
+  let cost = ref 0 in
+  let words =
+    Alloc.minor_words (fun () ->
+        for _ = 1 to 1_000 do
+          cost := !cost + Cache.touch c pt
+        done)
+  in
+  Alcotest.(check (float 0.0)) "warm touch words" 0.0 words;
+  check_int "warm touches hit" 0 !cost
+
+(* The list model [Cache] used to be, kept as the reference for its LRU:
+   lines most recently used first; a hit moves its line to the front, a
+   miss pushes it and drops whatever falls past the capacity. *)
+module Cache_model = struct
+  type line = { region : int; index : int }
+
+  type t = {
+    capacity : int;
+    line_bytes : int;
+    refill_cost : int;
+    mutable lines : line list;
+    mutable misses : int;
+    mutable miss_cycles : int;
+  }
+
+  let create ~lines ~line_bytes ~refill_cost =
+    { capacity = lines; line_bytes; refill_cost; lines = []; misses = 0; miss_cycles = 0 }
+
+  let touch_line t line =
+    if List.mem line t.lines then begin
+      t.lines <- line :: List.filter (fun l -> l <> line) t.lines;
+      0
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      t.miss_cycles <- t.miss_cycles + t.refill_cost;
+      t.lines <- List.filteri (fun i _ -> i < t.capacity) (line :: t.lines);
+      t.refill_cost
+    end
+
+  let touch t ~region ~lines =
+    List.fold_left ( + ) 0 (List.init lines (fun index -> touch_line t { region; index }))
+
+  let footprint_bytes t ~region =
+    t.line_bytes * List.length (List.filter (fun l -> l.region = region) t.lines)
+end
+
+(* Ops: [-1] flushes, [i >= 0] touches region [i mod nregions]. *)
+let prop_cache_matches_list_model =
+  QCheck.Test.make ~name:"cache: LRU matches the list model" ~count:300
+    QCheck.(
+      triple (int_range 1 16)
+        (list_of_size Gen.(1 -- 4) (int_range 1 8))
+        (list_of_size Gen.(0 -- 60) (int_range (-1) 7)))
+    (fun (capacity, sizes, ops) ->
+      (* Shrinking ignores the ranges; keep the shrunk inputs valid. *)
+      QCheck.assume
+        (capacity >= 1 && sizes <> [] && List.for_all (fun n -> n >= 1) sizes);
+      let regions = List.map (fun lines -> Cache.region ~lines) sizes in
+      let c = Cache.create ~lines:capacity ~line_bytes:64 ~refill_cost:10 in
+      let m = Cache_model.create ~lines:capacity ~line_bytes:64 ~refill_cost:10 in
+      let agree cost model_cost =
+        cost = model_cost
+        && Cache.misses c = m.Cache_model.misses
+        && Cache.miss_cycles c = m.Cache_model.miss_cycles
+        && Cache.resident_lines c = List.length m.Cache_model.lines
+        && List.for_all2
+             (fun i r -> Cache.footprint_bytes c r = Cache_model.footprint_bytes m ~region:i)
+             (List.init (List.length regions) Fun.id)
+             regions
+      in
+      List.for_all
+        (fun op ->
+          if op < 0 then begin
+            Cache.flush c;
+            m.Cache_model.lines <- [];
+            agree 0 0
+          end
+          else begin
+            let i = op mod List.length regions in
+            let r = List.nth regions i in
+            let cost = Cache.touch c r in
+            agree cost (Cache_model.touch m ~region:i ~lines:(Cache.region_lines r))
+          end)
+        ops)
 
 (* --- Segments --- *)
 
@@ -533,6 +626,9 @@ let suite =
       test_cache_touch_costs_then_free;
     Alcotest.test_case "cache: eviction" `Quick test_cache_eviction_under_pressure;
     Alcotest.test_case "cache: flush" `Quick test_cache_of_profile_flush;
+    Alcotest.test_case "cache: warm touch allocates nothing" `Quick
+      test_cache_warm_touch_allocates_nothing;
+    QCheck_alcotest.to_alcotest prop_cache_matches_list_model;
     Alcotest.test_case "segments: default excludes hole" `Quick
       test_segments_default_excludes_hole;
     Alcotest.test_case "segments: glibc TLS breaks exclusion" `Quick
