@@ -37,7 +37,6 @@ type t = {
   by_obj : (int, node) Hashtbl.t;
       (** Object -> live capability; meaningful only for namespaces the
           embedder keeps unique (page identities, grant refs). *)
-  quotas : (int, int) Hashtbl.t;  (** Domain -> handle-table cap. *)
   counters : Counter.set;
   burn : int -> unit;
   lookup_cost : int;
@@ -46,14 +45,11 @@ type t = {
   mutable next_handle : handle;
 }
 
-exception Quota_exceeded of { q_dom : int; q_limit : int }
-
 let create ~counters ?(burn = fun _ -> ()) ?(lookup_cost = 40)
     ?(derive_cost = 90) ?(revoke_step_cost = 120) () =
   {
     tables = Hashtbl.create 16;
     by_obj = Hashtbl.create 64;
-    quotas = Hashtbl.create 8;
     counters;
     burn;
     lookup_cost;
@@ -96,40 +92,9 @@ let find_node t ~dom ~handle =
   Option.bind (Hashtbl.find_opt t.tables dom) (fun tbl ->
       Hashtbl.find_opt tbl handle)
 
-(* --- quotas --- *)
-
-let live_count t dom =
-  match Hashtbl.find_opt t.tables dom with
-  | Some tbl -> Hashtbl.length tbl
-  | None -> 0
-
-let set_quota t ~dom limit =
-  match limit with
-  | None -> Hashtbl.remove t.quotas dom
-  | Some n ->
-      if n < 0 then invalid_arg "Cap.set_quota: negative limit";
-      Hashtbl.replace t.quotas dom n
-
-let quota t ~dom = Hashtbl.find_opt t.quotas dom
-
-let quota_room t ~dom ~n =
-  match Hashtbl.find_opt t.quotas dom with
-  | None -> true
-  | Some limit -> live_count t dom + n <= limit
-
-let check_quota t ~dom ~n =
-  quota_room t ~dom ~n
-  ||
-  (Counter.incr t.counters "cap.quota_denied";
-   false)
-
 (* --- operations --- *)
 
 let mint t ~dom ~obj ~rights =
-  if not (check_quota t ~dom ~n:1) then
-    raise
-      (Quota_exceeded
-         { q_dom = dom; q_limit = Option.value ~default:0 (quota t ~dom) });
   t.burn t.derive_cost;
   Counter.incr t.counters "cap.minted";
   let node =
@@ -171,7 +136,6 @@ let derive t ~dom ~handle ~to_dom ~obj ~rights =
         Counter.incr t.counters "cap.denied";
         Error `Denied
       end
-      else if not (check_quota t ~dom:to_dom ~n:1) then Error `Quota
       else begin
         t.burn t.derive_cost;
         Counter.incr t.counters "cap.derived";
@@ -199,11 +163,6 @@ let grant t ~dom ~handle ~to_dom ~obj =
       Counter.incr t.counters "cap.denied";
       Error `No_cap
   | Some src ->
-      (* A grant moves the handle: the source slot frees, the destination
-         slot fills — only the destination's quota can be exceeded. *)
-      if to_dom <> dom && not (check_quota t ~dom:to_dom ~n:1) then
-        Error `Quota
-      else begin
       t.burn t.derive_cost;
       Counter.incr t.counters "cap.granted";
       let node =
@@ -227,7 +186,6 @@ let grant t ~dom ~handle ~to_dom ~obj =
       unregister t src;
       register t node;
       Ok node.n_handle
-      end
 
 (* --- revocation --- *)
 

@@ -19,7 +19,7 @@
 
     Accounting (all under the machine's counters): ["cap.minted"],
     ["cap.derived"], ["cap.granted"], ["cap.lookups"], ["cap.denied"],
-    ["cap.quota_denied"], ["cap.revoked"], ["cap.revoke_calls"] and the
+    ["cap.revoked"], ["cap.revoke_calls"] and the
     per-teardown depth histogram
     ["cap.revoke_depth.le_1" … "cap.revoke_depth.gt_8"]. *)
 
@@ -75,40 +75,10 @@ val create :
 (** [burn] charges cycles to whatever account is active at the call
     site; it defaults to a no-op (pure bookkeeping, e.g. unit tests). *)
 
-(** {1 Quotas}
-
-    A per-domain cap on handle-table size (E19 follow-on). Every
-    operation that would create a handle in a domain past its quota
-    fails closed: {!derive} and {!grant} return [`Quota], {!mint} —
-    the kernel-internal path, whose callers are expected to
-    {!check_quota} first — raises {!Quota_exceeded} as a backstop.
-    Each refusal counts ["cap.quota_denied"]. *)
-
-exception Quota_exceeded of { q_dom : int; q_limit : int }
-
-val set_quota : t -> dom:int -> int option -> unit
-(** [Some n] caps [dom]'s live handles at [n] ([n ≥ 0]); [None] removes
-    the cap (the default — domains are unmetered until opted in). The
-    quota is not retroactive: a table already over a newly-set limit
-    keeps its handles, but cannot gain more until it drops below. *)
-
-val quota : t -> dom:int -> int option
-
-val quota_room : t -> dom:int -> n:int -> bool
-(** Would [n] more handles fit under [dom]'s quota? Uncounted — use
-    {!check_quota} on enforcement paths. *)
-
-val check_quota : t -> dom:int -> n:int -> bool
-(** {!quota_room}, counting ["cap.quota_denied"] on refusal. Callers
-    that create several caps in one operation (e.g. a multi-page
-    [alloc_pages]) should check the whole batch up front so the
-    operation fails closed rather than half-applied. *)
-
 (** {1 Operations} *)
 
 val mint : t -> dom:int -> obj:int -> rights:rights -> handle
-(** A fresh root capability in [dom]'s table.
-    @raise Quota_exceeded when [dom] is at its quota. *)
+(** A fresh root capability in [dom]'s table. *)
 
 val lookup : t -> dom:int -> handle:handle -> info option
 (** Counted under ["cap.lookups"]. *)
@@ -124,11 +94,10 @@ val derive :
   to_dom:int ->
   obj:int ->
   rights:rights ->
-  (handle, [ `No_cap | `Denied | `Quota ]) result
+  (handle, [ `No_cap | `Denied ]) result
 (** Child capability in [to_dom]'s table, rights masked by the parent's
     ([rights land parent]); requires [r_derive] on the parent. The new
-    cap is a tree child of [handle], so revoking the parent kills it.
-    [`Quota] when [to_dom] is at its handle quota. *)
+    cap is a tree child of [handle], so revoking the parent kills it. *)
 
 val grant :
   t ->
@@ -136,12 +105,11 @@ val grant :
   handle:handle ->
   to_dom:int ->
   obj:int ->
-  (handle, [ `No_cap | `Quota ]) result
+  (handle, [ `No_cap ]) result
 (** Move semantics: the capability transfers to [to_dom] (renamed to
     [obj]), taking the source's place in the derivation tree — parent
     and children are preserved, the source handle dies. Mirrors
-    {!Vmk_ukernel.Mapdb.map} with [grant:true]. [`Quota] when [to_dom]
-    is at its handle quota (the source slot only frees on success). *)
+    {!Vmk_ukernel.Mapdb.map} with [grant:true]. *)
 
 type revoke_stats = {
   r_removed : int;  (** Capabilities torn down, including the root iff [self]. *)

@@ -21,10 +21,7 @@ type nic_window = {
   n_pct : int;
 }
 
-type pressure =
-  | Grant_cap of int option
-  | Ring_cap of int option
-  | Steal_frames of int
+type pressure = Steal_frames of int
 
 type mig_action = Mig_src_dead | Mig_dst_reject | Mig_link_drop
 
@@ -34,8 +31,6 @@ type event =
   | Irq_storm of { line : int; at : int64; count : int; gap : int64 }
   | Kill_at of { at : int64; target : string }
   | Kill_window of { k_start : int64; k_stop : int64; k_target : string }
-  | Grant_squeeze of { g_start : int64; g_stop : int64; g_cap : int }
-  | Ring_squeeze of { r_start : int64; r_stop : int64; r_cap : int }
   | Memory_pressure of { m_at : int64; m_frames : int; m_victim : string }
   | Mig_fault of { mig_at : int64; mig_action : mig_action }
 
@@ -45,7 +40,7 @@ type armed = {
   plan : plan;
   mutable kills_fired : (string * int64) list;  (** Newest first. *)
   mutable handles : Engine.handle list;
-      (** Every scheduled storm tick / kill / squeeze edge, so
+      (** Every scheduled engine event, so
           {!disarm} can cancel the ones that have not fired yet. *)
 }
 
@@ -100,7 +95,6 @@ let validate ?horizon ?targets plan =
     if pct < 0 || pct > 100 then invalid "%s fault pct %d outside 0..100" what pct
   in
   let disk_windows = ref [] and nic_windows = ref [] in
-  let grant_windows = ref [] and ring_windows = ref [] in
   let kill_windows = ref [] and kill_instants = ref [] in
   (* A kill landing inside an armed kill window on the same target is
      shadowed: whichever fires first leaves the other killing a corpse.
@@ -205,28 +199,6 @@ let validate ?horizon ?targets plan =
                   k_start k_stop k_target at)
             !kill_instants;
           kill_windows := (k_start, k_stop, k_target) :: !kill_windows
-      | Grant_squeeze { g_start; g_stop; g_cap } ->
-          check_span "grant squeeze" g_start g_stop;
-          if g_cap < 0 then invalid "grant squeeze cap %d is negative" g_cap;
-          List.iter
-            (fun (prev_start, prev_stop) ->
-              if spans_overlap g_start g_stop prev_start prev_stop then
-                invalid
-                  "grant squeezes [%Ld, %Ld) and [%Ld, %Ld) overlap (the \
-                   second restore would lift the first cap early)"
-                  prev_start prev_stop g_start g_stop)
-            !grant_windows;
-          grant_windows := (g_start, g_stop) :: !grant_windows
-      | Ring_squeeze { r_start; r_stop; r_cap } ->
-          check_span "ring squeeze" r_start r_stop;
-          if r_cap < 0 then invalid "ring squeeze cap %d is negative" r_cap;
-          List.iter
-            (fun (prev_start, prev_stop) ->
-              if spans_overlap r_start r_stop prev_start prev_stop then
-                invalid "ring squeezes [%Ld, %Ld) and [%Ld, %Ld) overlap"
-                  prev_start prev_stop r_start r_stop)
-            !ring_windows;
-          ring_windows := (r_start, r_stop) :: !ring_windows
       | Memory_pressure { m_at; m_frames; m_victim } ->
           if m_at < 0L then
             invalid "memory pressure at negative time %Ld" m_at;
@@ -319,16 +291,6 @@ let arm ?(pressure = fun (_ : pressure) -> ())
               armed.kills_fired <-
                 (k_target, Engine.now engine) :: armed.kills_fired;
               kill k_target)
-      | Grant_squeeze { g_start; g_stop; g_cap } ->
-          schedule g_start (fun () ->
-              Counter.incr mach.Machine.counters "faults.grant_squeeze";
-              pressure (Grant_cap (Some g_cap)));
-          schedule g_stop (fun () -> pressure (Grant_cap None))
-      | Ring_squeeze { r_start; r_stop; r_cap } ->
-          schedule r_start (fun () ->
-              Counter.incr mach.Machine.counters "faults.ring_squeeze";
-              pressure (Ring_cap (Some r_cap)));
-          schedule r_stop (fun () -> pressure (Ring_cap None))
       | Memory_pressure { m_at; m_frames; m_victim } ->
           schedule m_at (fun () ->
               Counter.incr mach.Machine.counters "faults.mem_pressure";

@@ -31,14 +31,9 @@ type nic_window = {
 
 (** Resource-exhaustion notifications delivered through the arm-time
     [pressure] callback. Like [kill], the mapping to a concrete
-    mechanism is the caller's ({!Vmk_vmm.Hypervisor.set_grant_cap},
-    {!Vmk_vmm.Ring.set_limit}, frame-table allocation, ...), keeping
+    mechanism (frame-table allocation, say) is the caller's, keeping
     this library free of kernel/VMM dependencies. *)
 type pressure =
-  | Grant_cap of int option
-      (** Clamp ([Some cap]) or restore ([None]) the grant-table size. *)
-  | Ring_cap of int option
-      (** Clamp or restore the effective I/O-ring capacity. *)
   | Steal_frames of int
       (** Memory pressure: take this many frames away. *)
 
@@ -63,11 +58,6 @@ type event =
       (** One kill of [k_target] at an instant drawn uniformly from
           [\[k_start, k_stop)] off the plan's split RNG stream — a pure
           function of (machine seed, plan). *)
-  | Grant_squeeze of { g_start : int64; g_stop : int64; g_cap : int }
-      (** Grant-table exhaustion window: [Grant_cap (Some g_cap)] at
-          [g_start], [Grant_cap None] at [g_stop]. *)
-  | Ring_squeeze of { r_start : int64; r_stop : int64; r_cap : int }
-      (** Ring-saturation window: clamp ring capacity to [r_cap]. *)
   | Memory_pressure of { m_at : int64; m_frames : int; m_victim : string }
       (** OOM at [m_at]: [Steal_frames m_frames] through [pressure],
           then kill [m_victim] (recorded in [kills_fired]). *)
@@ -85,9 +75,8 @@ val validate : ?horizon:int64 -> ?targets:string list -> plan -> unit
     windows (which would silently never fire), fault percentages outside
     0..100, negative storm counts/gaps/times, and overlapping fault
     windows on the same target — two disk windows covering intersecting
-    time spans and sector ranges, two time-overlapping NIC windows, or
-    two overlapping squeezes of the same resource (where the earlier
-    restore would silently lift the later cap). Kills interlock: a
+    time spans and sector ranges, or two time-overlapping NIC windows.
+    Kills interlock: a
     [Kill_at] (or [Memory_pressure] victim) falling inside an
     already-listed [Kill_window] on the same target is rejected — one of
     the two would fire into a corpse — as are two overlapping
@@ -120,16 +109,15 @@ val arm :
   kill:(string -> unit) ->
   armed
 (** Install the plan: set the device fault windows and schedule storms,
-    kills and resource squeezes on the machine's engine. Counters:
-    ["faults.irq_storm"], ["faults.kill"], ["faults.grant_squeeze"],
-    ["faults.ring_squeeze"], ["faults.mem_pressure"],
-    ["faults.mig_fault"]. [pressure] and [migration] default to no-ops;
+    kills, memory pressure and migration faults on the machine's engine.
+    Counters: ["faults.irq_storm"], ["faults.kill"],
+    ["faults.mem_pressure"], ["faults.mig_fault"]. [pressure] and [migration] default to no-ops;
     [horizon] and [targets] are passed through to {!validate}.
     @raise Invalid_plan if the plan fails {!validate}. *)
 
 val disarm : armed -> Vmk_hw.Machine.t -> unit
-(** Clear the device fault windows and cancel every scheduled storm,
-    kill and squeeze that has not fired yet. *)
+(** Clear the device fault windows and cancel every scheduled event that
+    has not fired yet. *)
 
 val kill_times : armed -> string -> int64 list
 (** Fire times recorded for a target, oldest first. *)

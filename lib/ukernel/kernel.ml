@@ -40,7 +40,7 @@ type tcb = {
   account : string;
   priority : int;
   asid : int;
-  mutable pager : tid option;
+  pager : tid option;
   mutable state : thread_state;
   fiber : Fiber.t;
   mutable out_msg : msg option;
@@ -306,9 +306,6 @@ let apply_map_items k ~(src : tcb) ~(dst : tcb) ~window msg =
               not
                 (Cap.check k.caps ~dom:src.asid ~handle:info.Cap.i_handle
                    ~need:Cap.r_map)
-              (* Fail closed at the receiver's cap quota: the page is not
-                 mapped at all rather than mapped without its mirror cap. *)
-              || not (Cap.check_quota k.caps ~dom:dst.asid ~n:1)
           | None -> false
         in
         if denied then Counter.incr_id counters k.ids.id_map_denied
@@ -660,11 +657,6 @@ let syscall_overhead k =
 
 let handle_alloc_pages k (tcb : tcb) n =
   if n <= 0 then ready k tcb (R_error (Bad_argument "alloc-pages"))
-  else if
-    (* Every fresh page mints a root cap — check the whole batch up
-       front so the allocation fails closed, not half-minted. *)
-    not (Cap.check_quota k.caps ~dom:tcb.asid ~n)
-  then ready k tcb (R_error Not_permitted)
   else begin
     match Hashtbl.find_opt k.alloc_ptr tcb.asid with
     | None -> ready k tcb (R_error (Bad_argument "no-space"))
@@ -789,11 +781,6 @@ let handle_syscall k (tcb : tcb) call =
                 Hashtbl.replace k.irq_handlers line tcb.tid;
                 ready k tcb R_unit
               end
-          | Irq_detach line ->
-              (match Hashtbl.find_opt k.irq_handlers line with
-              | Some h when h = tcb.tid -> Hashtbl.remove k.irq_handlers line
-              | Some _ | None -> ());
-              ready k tcb R_unit
           | Irq_mask line ->
               if line < 0 || line >= Irq.lines k.mach.Machine.irq then
                 ready k tcb (R_error (Bad_argument "irq-line"))
@@ -843,9 +830,6 @@ let handle_syscall k (tcb : tcb) call =
               Counter.add_id k.mach.Machine.counters k.ids.id_batch_send
                 !delivered;
               ready k tcb (R_tid !delivered)
-          | Set_pager pager ->
-              tcb.pager <- Some pager;
-              ready k tcb R_unit
           | Kill_thread victim ->
               if victim = tcb.tid then terminate k tcb
               else begin
@@ -853,14 +837,11 @@ let handle_syscall k (tcb : tcb) call =
                 ready k tcb R_unit
               end
           | Cap_mint { obj; rights } ->
-              if not (Cap.check_quota k.caps ~dom:tcb.asid ~n:1) then
-                ready k tcb (R_error Not_permitted)
-              else
-                let handle =
-                  Cap.mint k.caps ~dom:tcb.asid ~obj:(user_obj obj)
-                    ~rights:(rights land Cap.r_full)
-                in
-                ready k tcb (R_tid handle)
+              let handle =
+                Cap.mint k.caps ~dom:tcb.asid ~obj:(user_obj obj)
+                  ~rights:(rights land Cap.r_full)
+              in
+              ready k tcb (R_tid handle)
           | Cap_derive { handle; to_; rights } -> (
               match find_alive k to_ with
               | None -> ready k tcb (R_error Dead_partner)
@@ -873,7 +854,7 @@ let handle_syscall k (tcb : tcb) call =
                           ~to_dom:dst.asid ~obj:parent.Cap.i_obj ~rights
                       with
                       | Ok h -> ready k tcb (R_tid h)
-                      | Error (`No_cap | `Denied | `Quota) ->
+                      | Error (`No_cap | `Denied) ->
                           ready k tcb (R_error Not_permitted))))
           | Cap_revoke { handle; self } -> (
               match

@@ -70,11 +70,9 @@ type call =
   | Touch of { addr : int; len : int; write : bool }
   | Unmap of fpage
   | Irq_attach of int
-  | Irq_detach of int
   | Irq_mask of int
   | Irq_unmask of int
   | Send_batch of (tid * msg) list
-  | Set_pager of tid
   | Kill_thread of tid
   | Cap_mint of { obj : int; rights : int }
   | Cap_derive of { handle : int; to_ : tid; rights : int }
@@ -150,7 +148,6 @@ let alloc_pages n =
 let touch ~addr ~len ~write = expect_unit (invoke (Touch { addr; len; write }))
 let unmap fp = expect_unit (invoke (Unmap fp))
 let irq_attach line = expect_unit (invoke (Irq_attach line))
-let irq_detach line = expect_unit (invoke (Irq_detach line))
 let irq_mask line = expect_unit (invoke (Irq_mask line))
 let irq_unmask line = expect_unit (invoke (Irq_unmask line))
 
@@ -162,7 +159,6 @@ let send_batch msgs =
   | R_error e -> raise (Ipc_error e)
   | R_unit | R_msg _ | R_fpage _ | R_vpns _ ->
       raise (Ipc_error (Bad_argument "reply"))
-let set_pager tid = expect_unit (invoke (Set_pager tid))
 let kill_thread tid = expect_unit (invoke (Kill_thread tid))
 
 let expect_handle = function

@@ -84,7 +84,6 @@ type call =
       (** Access memory; faults go to the pager via the IPC protocol. *)
   | Unmap of fpage  (** Recursively revoke the pages from all mappees. *)
   | Irq_attach of int  (** Become handler for interrupt line n. *)
-  | Irq_detach of int
   | Irq_mask of int
       (** Handler-only: hold the line's interrupt→IPC conversion while
           polling the device directly (NAPI discipline, E16). *)
@@ -99,7 +98,6 @@ type call =
           [R_tid n] with the number delivered. One syscall overhead is
           paid for the whole batch; each delivery still pays transfer
           cost. *)
-  | Set_pager of tid
   | Kill_thread of tid
       (** Unwind-kill the target: its pending operation fails with
           [R_error Killed] and the raised {!Ipc_error} unwinds its fiber
@@ -167,14 +165,12 @@ val alloc_pages : int -> fpage
 val touch : addr:int -> len:int -> write:bool -> unit
 val unmap : fpage -> unit
 val irq_attach : int -> unit
-val irq_detach : int -> unit
 val irq_mask : int -> unit
 val irq_unmask : int -> unit
 
 val send_batch : (tid * msg) list -> int
 (** Returns how many of the batch were delivered (see {!Send_batch}). *)
 
-val set_pager : tid -> unit
 val kill_thread : tid -> unit
 
 (** {1 Capability wrappers (E19)}

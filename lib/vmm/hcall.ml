@@ -13,7 +13,6 @@ type hcall =
   | H_dom_id
   | H_yield
   | H_block of { timeout : int64 option }
-  | H_poll
   | H_alloc_frames of int
   | H_evtchn_alloc_unbound of domid
   | H_evtchn_bind of { remote_dom : domid; remote_port : port }
@@ -109,13 +108,6 @@ let yield () = expect_unit (invoke H_yield)
 let block ?timeout () =
   match invoke (H_block { timeout }) with
   | R_block r -> r
-  | R_error e -> raise (Hcall_error e)
-  | _ -> raise (Hcall_error (Not_virtualisable "reply"))
-
-let poll () =
-  match invoke H_poll with
-  | R_block (Events ports) -> ports
-  | R_block Timed_out -> []
   | R_error e -> raise (Hcall_error e)
   | _ -> raise (Hcall_error (Not_virtualisable "reply"))
 

@@ -38,7 +38,6 @@ type hcall =
   | H_yield
   | H_block of { timeout : int64 option }
       (** Deschedule until an event arrives (or the timeout elapses). *)
-  | H_poll  (** Non-blocking: collect and clear pending events. *)
   | H_alloc_frames of int  (** Extend reservation by n frames. *)
   | H_evtchn_alloc_unbound of domid
       (** Create a port the given peer may bind to. *)
@@ -158,7 +157,6 @@ val burn : int -> unit
 val dom_id : unit -> domid
 val yield : unit -> unit
 val block : ?timeout:int64 -> unit -> block_result
-val poll : unit -> port list
 val alloc_frames : int -> Vmk_hw.Frame.frame list
 val evtchn_alloc_unbound : domid -> port
 val evtchn_bind : remote_dom:domid -> remote_port:port -> port

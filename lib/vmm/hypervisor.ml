@@ -111,9 +111,6 @@ type t = {
   mutable next_domid : int;
   mutable next_asid : int;
   mutable last_domid : domid;
-  mutable grant_cap : int option;
-      (** Machine-wide live-grant ceiling; [None] = unbounded. The
-          grant-table-exhaustion fault lever (E15). *)
   caps : Cap.t;
       (** E19: every grant entry and every live grant mapping is backed
           by a capability; [grant_revoke] cascades through the
@@ -161,7 +158,6 @@ let create mach =
     next_domid = 0;
     next_asid = 1;
     last_domid = -1;
-    grant_cap = None;
     caps =
       Cap.create ~counters:mach.Machine.counters
         ~burn:(fun c -> Machine.burn mach c)
@@ -178,15 +174,6 @@ let with_cap_ctx h ctx f =
   let saved = h.cap_ctx in
   h.cap_ctx <- ctx;
   Fun.protect ~finally:(fun () -> h.cap_ctx <- saved) f
-
-let set_grant_cap h cap =
-  (match cap with
-  | Some c when c < 0 -> invalid_arg "Hypervisor.set_grant_cap"
-  | Some _ | None -> ());
-  h.grant_cap <- cap
-
-let live_grants h =
-  Hashtbl.fold (fun _ d acc -> acc + Hashtbl.length d.grants) h.domains 0
 
 let find h domid = Hashtbl.find_opt h.domains domid
 
@@ -450,64 +437,38 @@ let do_grant h (d : domain) ~to_dom ~frame ~readonly =
   match authority with
   | `None -> R_error Permission_denied
   | (`Owner | `Mapped _) as authority ->
-      if
-        match h.grant_cap with
-        | Some cap -> live_grants h >= cap
-        | None -> false
-      then begin
-        Counter.incr h.mach.Machine.counters "vmm.grant_exhausted";
-        vburn h Costs.grant_check;
-        R_error Out_of_memory
-      end
-      else if
-        (* Every grant mirrors a cap in the granter's table — fail
-           closed at its quota before creating the grant entry. *)
-        not (Cap.check_quota h.caps ~dom:d.domid ~n:1)
-      then begin
-        vburn h Costs.grant_check;
-        R_error Out_of_memory
-      end
-      else begin
-        let gref = d.next_gref in
-        d.next_gref <- d.next_gref + 1;
-        Hashtbl.add d.grants gref
-          {
-            g_frame = frame;
-            g_to = to_dom;
-            g_readonly = readonly;
-            g_mapped_by = [];
-          };
-        let obj = gobj ~granter:d.domid ~gref in
-        let handle =
-          match authority with
-          | `Owner -> Cap.mint h.caps ~dom:d.domid ~obj ~rights:Cap.r_full
-          | `Mapped mh -> (
-              Counter.incr_id h.mach.Machine.counters h.ids.id_grant_transitive;
-              match
-                Cap.derive h.caps ~dom:d.domid ~handle:mh ~to_dom:d.domid
-                  ~obj ~rights:Cap.r_full
-              with
-              | Ok x -> x
-              | Error (`No_cap | `Denied | `Quota) ->
-                  Cap.mint h.caps ~dom:d.domid ~obj ~rights:Cap.r_full)
-        in
-        Hashtbl.replace h.grant_handles (d.domid, gref) handle;
-        vburn h Costs.grant_check;
-        R_gref gref
-      end
+      let gref = d.next_gref in
+      d.next_gref <- d.next_gref + 1;
+      Hashtbl.add d.grants gref
+        {
+          g_frame = frame;
+          g_to = to_dom;
+          g_readonly = readonly;
+          g_mapped_by = [];
+        };
+      let obj = gobj ~granter:d.domid ~gref in
+      let handle =
+        match authority with
+        | `Owner -> Cap.mint h.caps ~dom:d.domid ~obj ~rights:Cap.r_full
+        | `Mapped mh -> (
+            Counter.incr_id h.mach.Machine.counters h.ids.id_grant_transitive;
+            match
+              Cap.derive h.caps ~dom:d.domid ~handle:mh ~to_dom:d.domid
+                ~obj ~rights:Cap.r_full
+            with
+            | Ok x -> x
+            | Error (`No_cap | `Denied) ->
+                Cap.mint h.caps ~dom:d.domid ~obj ~rights:Cap.r_full)
+      in
+      Hashtbl.replace h.grant_handles (d.domid, gref) handle;
+      vburn h Costs.grant_check;
+      R_gref gref
 
 let do_grant_map h (mapper : domain) ~dom ~gref =
   match find_alive h dom with
   | None -> R_error Dead_domain
   | Some granter -> begin
       match Hashtbl.find_opt granter.grants gref with
-      | Some entry
-        when entry.g_to = mapper.domid
-             && not (Cap.check_quota h.caps ~dom:mapper.domid ~n:1) ->
-          (* The mapping would mirror a cap in the mapper's table; at
-             quota the map fails closed before touching the entry. *)
-          vburn h Costs.grant_check;
-          R_error Out_of_memory
       | Some entry when entry.g_to = mapper.domid ->
           entry.g_mapped_by <- mapper.domid :: entry.g_mapped_by;
           let arch = h.mach.Machine.arch in
@@ -538,7 +499,7 @@ let do_grant_map h (mapper : domain) ~dom ~gref =
                   Hashtbl.add h.mapped_frame
                     (mapper.domid, entry.g_frame.Frame.index)
                     mh
-              | Error (`No_cap | `Denied | `Quota) -> ())
+              | Error (`No_cap | `Denied) -> ())
           | None -> ());
           R_frames [ entry.g_frame ]
       | Some _ -> R_error Permission_denied
@@ -775,11 +736,6 @@ let handle_hypercall h (d : domain) call =
   | H_yield ->
       ( hypercall_overhead h Costs.sched_region);
       ready h d R_unit
-  | H_poll ->
-      (
-          hypercall_overhead h Costs.evtchn_region;
-          let ports = collect_events d in
-          ready h d (R_block (Events ports)))
   | H_block { timeout } ->
       (
           hypercall_overhead h Costs.sched_region;

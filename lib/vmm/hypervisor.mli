@@ -40,17 +40,6 @@ val caps : t -> Vmk_cap.Cap.t
     the map caps of their mappings, and transitive grants derive from
     the map cap they were made through — so revocation cascades. *)
 
-val set_grant_cap : t -> int option -> unit
-(** Clamp ([Some cap]) or restore ([None]) the machine-wide number of
-    live grant entries. Once at the cap, new grants fail with
-    [Out_of_memory] (counter ["vmm.grant_exhausted"]) until entries are
-    revoked — the grant-table-exhaustion fault window of E15
-    ({!Vmk_faults} [Grant_squeeze]).
-    @raise Invalid_argument on a negative cap. *)
-
-val live_grants : t -> int
-(** Grant entries currently live across all domains. *)
-
 val create_domain :
   t ->
   name:string ->

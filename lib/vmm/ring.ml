@@ -18,7 +18,6 @@ type ('req, 'resp) t = {
   resps : 'resp buf;
   mutable req_dropped : int;
   mutable resp_dropped : int;
-  mutable limit : int option;
   mutable on_request_drop : unit -> unit;
   mutable on_response_drop : unit -> unit;
 }
@@ -31,25 +30,11 @@ let create ~capacity () =
     resps = { slots = [||]; head = 0; len = 0 };
     req_dropped = 0;
     resp_dropped = 0;
-    limit = None;
     on_request_drop = (fun () -> ());
     on_response_drop = (fun () -> ());
   }
 
 let capacity t = t.capacity
-
-let effective_capacity t =
-  match t.limit with None -> t.capacity | Some l -> min l t.capacity
-
-let set_limit t limit =
-  (match limit with
-  | Some l when l < 1 -> invalid_arg "Ring.set_limit: limit < 1"
-  | Some _ | None -> ());
-  t.limit <- limit
-
-let on_drop t f =
-  t.on_request_drop <- f;
-  t.on_response_drop <- f
 
 let on_request_drop t f = t.on_request_drop <- f
 let on_response_drop t f = t.on_response_drop <- f
@@ -72,7 +57,7 @@ let[@inline] buf_pop b =
   end
 
 let push_request t req =
-  if t.reqs.len >= effective_capacity t then begin
+  if t.reqs.len >= t.capacity then begin
     t.req_dropped <- t.req_dropped + 1;
     t.on_request_drop ();
     false
@@ -85,7 +70,7 @@ let push_request t req =
 let pop_request t = buf_pop t.reqs
 
 let push_response t resp =
-  if t.resps.len >= effective_capacity t then begin
+  if t.resps.len >= t.capacity then begin
     t.resp_dropped <- t.resp_dropped + 1;
     t.on_response_drop ();
     false
@@ -96,7 +81,7 @@ let push_response t resp =
   end
 
 let pop_response t = buf_pop t.resps
-let response_space t = max 0 (effective_capacity t - t.resps.len)
+let response_space t = t.capacity - t.resps.len
 let request_dropped_total t = t.req_dropped
 let response_dropped_total t = t.resp_dropped
 let dropped_total t = t.req_dropped + t.resp_dropped

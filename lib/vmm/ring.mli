@@ -14,21 +14,6 @@ val create : capacity:int -> unit -> ('req, 'resp) t
 
 val capacity : ('req, 'resp) t -> int
 
-val effective_capacity : ('req, 'resp) t -> int
-(** [capacity] clamped by any {!set_limit} squeeze in force. *)
-
-val set_limit : ('req, 'resp) t -> int option -> unit
-(** Clamp ([Some l]) or restore ([None]) the effective capacity — the
-    ring-saturation fault lever ({!Vmk_faults} [Ring_squeeze]). Entries
-    already queued above the new limit stay until popped; only new
-    pushes see the clamp.
-    @raise Invalid_argument if [l < 1]. *)
-
-val on_drop : ('req, 'resp) t -> (unit -> unit) -> unit
-(** Install a hook invoked on every rejected push (either direction),
-    replacing any previous hooks (equivalent to {!on_request_drop} and
-    {!on_response_drop} with the same hook). Backends use these to
-    surface per-ring rejections into machine-wide overload counters. *)
 
 val on_request_drop : ('req, 'resp) t -> (unit -> unit) -> unit
 (** Hook for rejected {e request} pushes only. A refused request is

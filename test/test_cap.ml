@@ -69,7 +69,7 @@ let test_denied_accounting () =
   check_int "denied counted" 1 (Counter.get counters "cap.denied");
   (match Cap.derive t ~dom:1 ~handle:h ~to_dom:2 ~obj:301 ~rights:Cap.r_read with
   | Error `Denied -> ()
-  | Ok _ | Error (`No_cap | `Quota) ->
+  | Ok _ | Error `No_cap ->
       Alcotest.fail "derive without r_derive must be Denied");
   check_int "derive denial counted" 2 (Counter.get counters "cap.denied");
   (match
@@ -181,7 +181,6 @@ let prop_random_tree =
                 | Error `Denied ->
                     if Cap.has n.m_rights Cap.r_derive then
                       Alcotest.fail "derive denied despite r_derive"
-                | Error `Quota -> Alcotest.fail "no quota set in this model"
                 | Error `No_cap -> Alcotest.fail "model said the cap was live"
               end
               else begin
