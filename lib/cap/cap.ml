@@ -12,11 +12,6 @@ let r_revoke = 16
 let r_full = r_read lor r_write lor r_map lor r_derive lor r_revoke
 let has mask need = mask land need = need
 
-let pp_rights ppf r =
-  let bit b c = if has r b then c else '-' in
-  Format.fprintf ppf "%c%c%c%c%c" (bit r_read 'r') (bit r_write 'w')
-    (bit r_map 'm') (bit r_derive 'd') (bit r_revoke 'v')
-
 (* --- tables --- *)
 
 type handle = int
@@ -276,19 +271,5 @@ let revoke_dom t ~dom ~on_revoke =
 
 let find_obj t ~obj = Option.map info_of (Hashtbl.find_opt t.by_obj obj)
 
-let depth t ~dom ~handle =
-  match find_node t ~dom ~handle with
-  | None -> None
-  | Some node ->
-      let rec up n acc =
-        match n.n_parent with None -> acc | Some p -> up p (acc + 1)
-      in
-      Some (up node 0)
-
 let count t =
   Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.tables 0
-
-let handles t ~dom =
-  match Hashtbl.find_opt t.tables dom with
-  | None -> []
-  | Some tbl -> List.sort compare (Hashtbl.fold (fun h _ acc -> h :: acc) tbl [])

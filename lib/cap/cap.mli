@@ -46,9 +46,6 @@ val r_full : rights
 val has : rights -> rights -> bool
 (** [has mask need] is true iff every bit of [need] is in [mask]. *)
 
-val pp_rights : Format.formatter -> rights -> unit
-(** Prints e.g. ["rw-dv"]. *)
-
 (** {1 Tables} *)
 
 type t
@@ -141,11 +138,5 @@ val find_obj : t -> obj:int -> info option
     for object namespaces the embedder keeps unique per live capability
     (page identities, grant references); uncounted. *)
 
-val depth : t -> dom:int -> handle:handle -> int option
-(** Distance from the derivation root (roots are [0]). *)
-
 val count : t -> int
 (** Live capabilities across all domains. *)
-
-val handles : t -> dom:int -> handle list
-(** Sorted ascending. *)

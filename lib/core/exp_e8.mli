@@ -15,5 +15,3 @@ type row = {
   busy_cycles : int64;
   relative : float;  (** Slowdown vs native on the same workload. *)
 }
-
-val measure : quick:bool -> row list

@@ -47,9 +47,3 @@ let of_vmm_run counters =
 
 let per_unit b ~units =
   if units <= 0 then 0.0 else float_of_int b.total /. float_of_int units
-
-let pp ppf b =
-  Format.fprintf ppf
-    "ipc-equivalent ops: total=%d (control=%d data=%d delegation=%d)@."
-    b.total b.control b.data b.delegation;
-  List.iter (fun (name, v) -> Format.fprintf ppf "  %-22s %8d@." name v) b.detail

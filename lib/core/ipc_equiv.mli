@@ -28,5 +28,3 @@ val of_vmm_run : Vmk_trace.Counter.set -> breakdown
 val per_unit : breakdown -> units:int -> float
 (** Total IPC-equivalent operations per workload unit (e.g. per round or
     per guest syscall). *)
-
-val pp : Format.formatter -> breakdown -> unit

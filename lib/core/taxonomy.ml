@@ -55,7 +55,3 @@ let pp_role ppf role =
     | Control_transfer -> "control-transfer"
     | Data_transfer -> "data-transfer"
     | Resource_delegation -> "resource-delegation")
-
-let pp_system ppf system =
-  Format.pp_print_string ppf
-    (match system with Microkernel -> "microkernel" | Vmm -> "vmm")

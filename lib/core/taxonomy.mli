@@ -19,5 +19,3 @@ val role_counts : system -> Vmk_trace.Counter.set -> (role * int) list
 (** Sum the classified counters of a finished run, per role. *)
 
 val pp_role : Format.formatter -> role -> unit
-val pp_system : Format.formatter -> system -> unit
-val all_roles : role list

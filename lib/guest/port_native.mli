@@ -5,8 +5,6 @@
     directly, nothing else runs on the machine. All cycles are charged to
     the ["native"] account. *)
 
-val account : string
-
 val run : Vmk_hw.Machine.t -> ?nic_buffers:int -> (unit -> unit) -> unit
 (** Run an application to completion on a fresh machine. Device waits
     idle the virtual clock forward; [Sys_error] is raised into the app on

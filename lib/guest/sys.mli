@@ -87,11 +87,6 @@ val block_size : int
 val vnet_broadcast : int
 (** Destination 0 floods to every attached port. *)
 
-val vnet_max_port : int
-(** Ports are 1..99 ([src] must not be 0). *)
-
-val vnet_max_seq : int
-
 val vnet_tag : src:int -> dst:int -> seq:int -> int
 (** @raise Invalid_argument when a field is out of range. *)
 

@@ -22,5 +22,3 @@ let range_end r = r.start + r.len
 
 let ranges_overlap a b =
   a.len > 0 && b.len > 0 && a.start < range_end b && b.start < range_end a
-
-let contains r addr = addr >= r.start && addr < range_end r

@@ -7,9 +7,6 @@
 val page_size : int
 (** 4096 bytes. *)
 
-val page_shift : int
-val page_mask : int
-
 val vpn : int -> int
 (** Virtual page number of an address. *)
 
@@ -35,6 +32,4 @@ type range = { start : int; len : int }
 val range : start:int -> len:int -> range
 (** @raise Invalid_argument if [len < 0]. *)
 
-val range_end : range -> int
 val ranges_overlap : range -> range -> bool
-val contains : range -> int -> bool

@@ -316,7 +316,6 @@ let copy_cost p ~bytes =
   else p.copy_base_cost + (bytes * p.copy_per_byte_c100 / 100)
 
 let walk_cost p = p.pt_levels * p.tlb_refill_cost
-let pp_id ppf id = Format.pp_print_string ppf (id_spelling id)
 
 let pp ppf p =
   Format.fprintf ppf

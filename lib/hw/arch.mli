@@ -91,4 +91,3 @@ val walk_cost : profile -> int
 (** Full page-table walk: [pt_levels * tlb_refill_cost]. *)
 
 val pp : Format.formatter -> profile -> unit
-val pp_id : Format.formatter -> id -> unit

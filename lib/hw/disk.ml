@@ -56,7 +56,6 @@ let create engine irq_ctrl ~irq_line ?(base_latency = 40_000L)
     dropped = 0;
   }
 
-let irq_line t = t.irq_line
 let set_faults t faults = t.faults <- faults
 
 let fault_sector_hit fault sector =

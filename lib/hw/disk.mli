@@ -51,8 +51,6 @@ val create :
   t
 (** Default latency: 40_000 cycles + 8 c/B (a fast 2005 disk with cache). *)
 
-val irq_line : t -> int
-
 val set_faults : t -> fault list -> unit
 (** Install the fault windows (replacing any previous set). A request is
     judged against the first window active at its submission time. *)

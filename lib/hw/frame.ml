@@ -28,7 +28,6 @@ let create ~frames =
   in
   { frames = table; free = List.init frames (fun i -> i) }
 
-let total t = Array.length t.frames
 let free_count t = List.length t.free
 
 let alloc t ~owner ?(kind = Ram) () =
@@ -57,11 +56,6 @@ let transfer _t f ~to_ =
   if not f.allocated then invalid_arg "Frame.transfer: frame is free";
   f.owner <- to_;
   f.generation <- f.generation + 1
-
-let get t index =
-  if index < 0 || index >= Array.length t.frames then
-    invalid_arg "Frame.get: physical frame number out of range";
-  t.frames.(index)
 
 let set_tag f tag = f.tag <- tag
 

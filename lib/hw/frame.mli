@@ -33,7 +33,6 @@ val create : frames:int -> t
 
     @raise Invalid_argument if [frames < 1]. *)
 
-val total : t -> int
 val free_count : t -> int
 
 val alloc : t -> owner:string -> ?kind:kind -> unit -> frame
@@ -54,13 +53,7 @@ val transfer : t -> frame -> to_:string -> unit
 
     @raise Invalid_argument on a free frame. *)
 
-val get : t -> int -> frame
-(** Frame by physical number.
-
-    @raise Invalid_argument if out of range. *)
-
 val set_tag : frame -> int -> unit
-val owned_by : t -> string -> frame list
 val count_owned_by : t -> string -> int
 
 val reclaim_owner : t -> string -> int

@@ -47,11 +47,3 @@ let touch_range m space ~start ~len ~write ~user =
 let switch_space (m : Machine.t) space =
   Tlb.set_context m.tlb ~asid:(Page_table.asid space);
   Machine.burn m m.arch.Arch.addr_space_switch_cost
-
-let pp_fault ppf fault =
-  Format.pp_print_string ppf
-    (match fault with
-    | Not_mapped -> "not-mapped"
-    | Write_to_readonly -> "write-to-readonly"
-    | Kernel_only -> "kernel-only"
-    | Stale_mapping -> "stale-mapping")

@@ -38,5 +38,3 @@ val touch_range :
 val switch_space : Machine.t -> Page_table.t -> unit
 (** Make the given address space current: TLB context switch (full flush
     on untagged TLBs) plus the profile's address-space-switch cycles. *)
-
-val pp_fault : Format.formatter -> fault -> unit

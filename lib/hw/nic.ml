@@ -23,10 +23,8 @@ type t = {
   rx_queue : rx_event Queue.t;
   tx_queue : (Frame.frame * int) Queue.t;
   mutable faults : fault list;
-  mutable rx_injected : int;
   mutable rx_delivered : int;
   mutable rx_dropped : int;
-  mutable rx_bytes : int;
   mutable rx_faulted : int;
   mutable tx_submitted : int;
   mutable tx_completed : int;
@@ -52,10 +50,8 @@ let create engine irq_ctrl ~irq_line ?(wire_delay = 2000L) () =
     rx_queue = Queue.create ();
     tx_queue = Queue.create ();
     faults = [];
-    rx_injected = 0;
     rx_delivered = 0;
     rx_dropped = 0;
-    rx_bytes = 0;
     rx_faulted = 0;
     tx_submitted = 0;
     tx_completed = 0;
@@ -86,7 +82,6 @@ let set_mitigation t cycles =
     invalid_arg "Nic.set_mitigation: negative window";
   t.mitigation <- cycles
 
-let mitigation t = t.mitigation
 let irq_coalesced t = t.irq_coalesced
 let on_coalesce t f = t.on_coalesce <- f
 let on_rx_drop t f = t.on_rx_drop <- f
@@ -123,13 +118,11 @@ let rec deliver t ~tag ~len =
       Frame.set_tag frame tag;
       Queue.add { frame; len; tag } t.rx_queue;
       t.rx_delivered <- t.rx_delivered + 1;
-      t.rx_bytes <- t.rx_bytes + len;
       maybe_raise_irq t
 
 and inject_rx t ~tag ~len =
   if len < 0 || len > Addr.page_size then
     invalid_arg "Nic.inject_rx: packet length out of range";
-  t.rx_injected <- t.rx_injected + 1;
   match fault_verdict t with
   | Some Drop -> t.rx_faulted <- t.rx_faulted + 1
   | Some Corrupt ->
@@ -165,11 +158,9 @@ let submit_tx t frame ~len =
 
 let tx_done t = Queue.take_opt t.tx_queue
 let tx_completions_pending t = Queue.length t.tx_queue
-let rx_injected t = t.rx_injected
 let rx_faulted t = t.rx_faulted
 let rx_delivered t = t.rx_delivered
 let rx_dropped t = t.rx_dropped
-let rx_bytes t = t.rx_bytes
 let tx_submitted t = t.tx_submitted
 let tx_completed t = t.tx_completed
 let tx_bytes t = t.tx_bytes

@@ -67,8 +67,6 @@ val set_mitigation : t -> int64 -> unit
 
     @raise Invalid_argument on a negative window. *)
 
-val mitigation : t -> int64
-
 val irq_coalesced : t -> int
 (** Completions absorbed by an open hold-off window (no fresh raise). *)
 
@@ -121,13 +119,11 @@ val tx_completions_pending : t -> int
 
 (** {1 Statistics} *)
 
-val rx_injected : t -> int
 val rx_faulted : t -> int
 (** Packets hit by an active fault window (dropped/corrupted/duplicated). *)
 
 val rx_delivered : t -> int
 val rx_dropped : t -> int
-val rx_bytes : t -> int
 val tx_submitted : t -> int
 val tx_completed : t -> int
 val tx_bytes : t -> int

@@ -24,5 +24,3 @@ let unmap t ~vpn =
 let lookup t ~vpn = Hashtbl.find_opt t.entries vpn
 let stale pte = pte.frame.Frame.generation <> pte.frame_generation
 let mapped_count t = Hashtbl.length t.entries
-let iter t ~f = Hashtbl.iter (fun vpn pte -> f ~vpn pte) t.entries
-let clear t = Hashtbl.reset t.entries

@@ -33,5 +33,3 @@ val stale : pte -> bool
 (** The mapped frame changed ownership (page flip) after mapping. *)
 
 val mapped_count : t -> int
-val iter : t -> f:(vpn:int -> pte -> unit) -> unit
-val clear : t -> unit

@@ -34,7 +34,6 @@ let get t = function
   | Gs -> t.gs
 
 let reload_count t = t.reloads
-let trap_reloaded = [ Cs; Ss ]
 
 let descriptor_excludes d range =
   not (Addr.ranges_overlap (Addr.range ~start:d.base ~len:d.limit) range)
@@ -43,13 +42,3 @@ let live_segments_exclude t range =
   List.for_all
     (fun sel -> descriptor_excludes (get t sel) range)
     [ Ds; Es; Fs; Gs ]
-
-let pp_selector ppf sel =
-  Format.pp_print_string ppf
-    (match sel with
-    | Cs -> "cs"
-    | Ss -> "ss"
-    | Ds -> "ds"
-    | Es -> "es"
-    | Fs -> "fs"
-    | Gs -> "gs")

@@ -26,17 +26,9 @@ val create : user_limit:int -> t
 val load : t -> selector -> descriptor -> unit
 (** Load a selector (counts as one segment-register reload). *)
 
-val get : t -> selector -> descriptor
 val reload_count : t -> int
 
-val trap_reloaded : selector list
-(** Selectors the trap gate reloads: [\[Cs; Ss\]]. *)
-
-val descriptor_excludes : descriptor -> Addr.range -> bool
-(** The descriptor's reachable bytes do not intersect the range. *)
-
 val live_segments_exclude : t -> Addr.range -> bool
-(** True iff every selector {e not} in {!trap_reloaded} excludes the range
-    — the precondition for the trap-gate shortcut to be safe. *)
-
-val pp_selector : Format.formatter -> selector -> unit
+(** True iff every selector other than CS and SS (which the trap
+    reloads) excludes the range — the precondition for the trap-gate
+    shortcut to be safe. *)

@@ -271,9 +271,6 @@ let reason_name = function
   | Dst_reject -> "dst-reject"
   | Link_drop -> "link-drop"
 
-let pp_phase ppf p = Format.pp_print_string ppf (phase_name p)
-let pp_reason ppf r = Format.pp_print_string ppf (reason_name r)
-
 let pp_outcome ppf = function
   | Completed { c_rounds; c_pages; c_downtime } ->
       Format.fprintf ppf "completed (%d rounds, %d pages, downtime %Ld)"

@@ -47,8 +47,6 @@ module Image : sig
   val equal : t -> t -> bool
   (** Bit-for-bit: every stamp and both counters. *)
 
-  val page_count : t -> int
-
   val digest : t -> int
   (** Order-sensitive fold of the stamps and counters — a compact
       fingerprint for tables. Equal images have equal digests. *)
@@ -168,11 +166,6 @@ type ops = {
   o_commit : unit -> unit;  (** Atomically destroy the source guest. *)
 }
 
-val send_pages : session -> ops -> src:Image.t -> staging:Image.t ->
-  int list -> unit
-(** Push the listed pages over the link into the staging image.
-    @raise Link_down if the link is down. *)
-
 type config = {
   max_rounds : int;  (** 0 = pure stop-and-copy (checkpoint). *)
   threshold : int;  (** Dirty pages at/below which precopy converges. *)
@@ -194,8 +187,6 @@ val run :
     faults are polled at every phase boundary; {!Link_down} aborts from
     inside a transfer. Never raises. *)
 
-val pp_phase : Format.formatter -> phase -> unit
-val pp_reason : Format.formatter -> abort_reason -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 val phase_name : phase -> string
 val reason_name : abort_reason -> string

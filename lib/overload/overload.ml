@@ -6,7 +6,6 @@ let shed_counter = "overload.shed"
 let retry_counter = "overload.retry"
 let backoff_counter = "overload.backoff_cycles"
 let queue_peak_prefix = "overload.queue_peak."
-let nic_drop_counter = "overload.nic_drop"
 let ring_reject_prefix = "overload.ring_reject."
 let fair_admit_counter = "overload.fair.admit"
 let fair_shed_counter = "overload.fair.shed"
@@ -91,8 +90,6 @@ module Token_bucket = struct
 
   let admitted t = t.admitted
   let denied t = t.denied
-  let burst t = t.burst
-  let period t = Int64.of_int t.period
 end
 
 module Bounded_queue = struct
@@ -117,10 +114,8 @@ module Bounded_queue = struct
     mutable slots : 'a array;  (* length 0 until the first push *)
     mutable head : int;  (* index of the oldest item *)
     mutable len : int;
-    mutable accepted : int;
     mutable rejected : int;
     mutable displaced : int;
-    mutable marks : int;
     mutable peak : int;
   }
 
@@ -138,10 +133,8 @@ module Bounded_queue = struct
       slots = [||];
       head = 0;
       len = 0;
-      accepted = 0;
       rejected = 0;
       displaced = 0;
-      marks = 0;
       peak = 0;
     }
 
@@ -168,7 +161,6 @@ module Bounded_queue = struct
     let tail = if tail >= cap then tail - cap else tail in
     t.slots.(tail) <- x;
     t.len <- t.len + 1;
-    t.accepted <- t.accepted + 1;
     if t.len > t.peak then t.peak <- t.len
 
   let take t =
@@ -199,10 +191,7 @@ module Bounded_queue = struct
   let pop t = if t.len = 0 then None else Some (take t)
 
   let length t = t.len
-  let capacity t = t.capacity
-  let policy t = t.policy
   let is_empty t = t.len = 0
-  let accepted t = t.accepted
   let rejected t = t.rejected
   let displaced t = t.displaced
   let peak t = t.peak
@@ -210,12 +199,8 @@ module Bounded_queue = struct
   (* ECN-style early notification: the congestion signal fires while
      there is still room, so the producer can back off before anything
      is dropped. *)
-  let marked t =
-    let m = t.len >= t.mark_at in
-    if m then t.marks <- t.marks + 1;
-    m
+  let marked t = t.len >= t.mark_at
 
-  let marks t = t.marks
 end
 
 (* Per-client fair-share admission: one token bucket per demux key, the
@@ -242,7 +227,6 @@ module Weighted_buckets = struct
     mutable dense : slot option array;
     others : (int, slot) Hashtbl.t;
     mutable admitted : int;
-    mutable shed : int;
   }
 
   let create ?counters ~period ~burst () =
@@ -262,7 +246,6 @@ module Weighted_buckets = struct
       dense = Array.make 16 None;
       others = Hashtbl.create 8;
       admitted = 0;
-      shed = 0;
     }
 
   let weight t ~key = Option.value (Hashtbl.find_opt t.weights key) ~default:1
@@ -324,11 +307,10 @@ module Weighted_buckets = struct
           Counter.incr_id c t.fair_shed_id;
           Counter.incr_id c slot.shed_id
         end);
-    if ok then t.admitted <- t.admitted + 1 else t.shed <- t.shed + 1;
+    if ok then t.admitted <- t.admitted + 1;
     ok
 
   let admitted t = t.admitted
-  let shed t = t.shed
 end
 
 module Backoff = struct
@@ -348,8 +330,6 @@ module Backoff = struct
     if factor < 1 then invalid_arg "Backoff.create: factor < 1";
     if jitter < 0 then invalid_arg "Backoff.create: jitter < 0";
     { attempts; base; factor; cap; jitter; rng }
-
-  let attempts t = t.attempts
 
   let delay t ~attempt =
     let rec scale d n =

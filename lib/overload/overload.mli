@@ -36,7 +36,6 @@ val shed_counter : string
 val retry_counter : string
 val backoff_counter : string
 val queue_peak_prefix : string
-val nic_drop_counter : string
 
 val ring_reject_prefix : string
 (** [overload.ring_reject.<dev>] — producer-side pushes a full shared
@@ -45,15 +44,9 @@ val ring_reject_prefix : string
     Conflating the two double-counted retried tx attempts as drops —
     the E17 bugfix sweep separated them. *)
 
-val fair_admit_counter : string
-(** [overload.fair.admit] — admissions through a {!Weighted_buckets}
-    gate. *)
-
 val fair_shed_counter : string
 (** [overload.fair.shed] — sheds at a {!Weighted_buckets} gate; also
     itemized per client under [overload.fair.shed.<key>]. *)
-
-val fair_shed_prefix : string
 
 val ecn_mark_counter : string
 (** [overload.ecn_mark] — congestion marks propagated back to a
@@ -92,8 +85,6 @@ module Token_bucket : sig
   val available : t -> now:int64 -> int
   val admitted : t -> int
   val denied : t -> int
-  val burst : t -> int
-  val period : t -> int64
 end
 
 (** A bounded FIFO with an explicit policy for the full case — the
@@ -128,24 +119,18 @@ module Bounded_queue : sig
   val pop : 'a t -> 'a option
 
   val length : 'a t -> int
-  val capacity : 'a t -> int
-  val policy : 'a t -> policy
   val is_empty : 'a t -> bool
-  val accepted : 'a t -> int
   val rejected : 'a t -> int
   val displaced : 'a t -> int
 
   val peak : 'a t -> int
-  (** High-water mark of {!length} — never exceeds {!capacity} (the
-      boundedness property the qcheck test asserts). *)
+  (** High-water mark of {!length} — never exceeds the queue's capacity
+      (the boundedness property the qcheck test asserts). *)
 
   val marked : 'a t -> bool
   (** [true] while {!length} is at or above the [mark_at] watermark —
-      the ECN congestion bit. Each [true] observation is also counted
-      (see {!marks}). *)
+      the ECN congestion bit. *)
 
-  val marks : 'a t -> int
-  (** How many {!marked} observations came back [true]. *)
 end
 
 (** Per-client fair-share admission (E17): one deterministic
@@ -167,14 +152,11 @@ module Weighted_buckets : sig
   (** Set a client's fair share (default 1).
       @raise Invalid_argument on [weight < 1]. *)
 
-  val weight : t -> key:int -> int
-
   val admit : t -> key:int -> now:int64 -> bool
   (** Take one token from [key]'s bucket (created on first use);
       [false] = shed this client's work. *)
 
   val admitted : t -> int
-  val shed : t -> int
 end
 
 (** Client retry schedule: exponential backoff with seeded jitter.
@@ -194,8 +176,6 @@ module Backoff : sig
     t
   (** Defaults: 5 attempts, base 100k cycles, factor 2, cap 3.2M,
       jitter 1000. Split the machine RNG for the stream. *)
-
-  val attempts : t -> int
 
   val delay : t -> attempt:int -> int64
   (** Delay before retrying after failed attempt [attempt] (0-based).

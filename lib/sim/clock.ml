@@ -12,4 +12,3 @@ let advance_to t deadline =
   if Int64.compare deadline t.now > 0 then t.now <- deadline
 
 let reset t = t.now <- 0L
-let pp ppf t = Format.fprintf ppf "cycle:%Ld" t.now

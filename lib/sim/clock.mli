@@ -28,6 +28,3 @@ val advance_to : t -> int64 -> unit
 val reset : t -> unit
 (** [reset t] rewinds the clock to cycle 0 (used between experiment runs
     that reuse a machine). *)
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-print as ["cycle:<n>"]. *)

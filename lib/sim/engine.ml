@@ -15,7 +15,6 @@ let create () =
     idle_jumps = 0;
     burst_jumps = 0;
   }
-let clock t = t.clock
 let now t = Clock.now t.clock
 let at t time f = Heap.push t.queue ~time f
 let after t delta f = Heap.push t.queue ~time:(Int64.add (now t) delta) f
@@ -30,7 +29,6 @@ let at_cancellable t time f =
   h
 
 let cancel h = h.cancelled <- true
-let cancelled h = h.cancelled
 
 let every t period f =
   if Int64.compare period 0L <= 0 then

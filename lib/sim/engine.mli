@@ -13,7 +13,6 @@ type t
 val create : unit -> t
 (** Fresh engine with its own clock at cycle 0. *)
 
-val clock : t -> Clock.t
 val now : t -> int64
 
 val at : t -> int64 -> (unit -> unit) -> unit
@@ -36,7 +35,6 @@ val at_cancellable : t -> int64 -> (unit -> unit) -> handle
     the callback never runs). *)
 
 val cancel : handle -> unit
-val cancelled : handle -> bool
 
 val pending : t -> int
 (** Number of queued events. *)

@@ -68,7 +68,6 @@ let int64_range t lo hi =
   end
 
 let float t bound = bound *. (float_of_int (uint_of_int32 (int32 t)) /. 4294967296.0)
-let bool t = Int32.logand (int32 t) 1l = 1l
 
 let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";

@@ -28,8 +28,6 @@ val int64_range : t -> int64 -> int64 -> int64
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed draw with the given mean (Poisson
     inter-arrival times for device models). *)

@@ -137,8 +137,6 @@ let create mach =
     round_end = 0L;
   }
 
-let machine t = t.mach
-let ncpus t = Array.length t.cores
 let credit_cap weight = 8 * weight
 
 let spawn t ~name ?account ~cpu ?(weight = 1) body =

@@ -40,9 +40,6 @@ val create : Vmk_hw.Machine.t -> t
     every core, in core-id order, for one 1,000-cycle quantum of global
     time. *)
 
-val machine : t -> Vmk_hw.Machine.t
-val ncpus : t -> int
-
 val spawn :
   t -> name:string -> ?account:string -> cpu:int -> ?weight:int ->
   (unit -> unit) -> tid

@@ -82,8 +82,3 @@ let merge a b =
     add t b.samples.(i)
   done;
   t
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f p50=%.2f p99=%.2f min=%.2f max=%.2f"
-    (count t) (mean t) (stddev t) (percentile t 50.0) (percentile t 99.0)
-    (min t) (max t)

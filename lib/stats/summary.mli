@@ -37,6 +37,3 @@ val median : t -> float
 val of_list : float list -> t
 val merge : t -> t -> t
 (** Combined summary of both observation sets. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render as ["n=… mean=… sd=… p50=… p99=… min=… max=…"]. *)

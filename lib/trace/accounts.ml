@@ -103,19 +103,3 @@ let to_cpu_list t ~cpu =
       if Int64.compare v 0L <> 0 then (name, v) :: acc else acc)
     t.balances []
   |> List.sort compare
-
-let pp ppf t =
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf "%-12s %12Ld cycles (%.1f%%)@." name v (100.0 *. share t name))
-    (to_list t)
-
-let pp_per_cpu ppf t =
-  for cpu = 0 to t.max_cpu do
-    match to_cpu_list t ~cpu with
-    | [] -> ()
-    | rows ->
-        Format.fprintf ppf "cpu%d:@." cpu;
-        List.iter
-          (fun (name, v) -> Format.fprintf ppf "  %-14s %12Ld cycles@." name v)
-          rows
-  done

@@ -78,8 +78,3 @@ val to_list : t -> (string * int64) list
 
 val to_cpu_list : t -> cpu:int -> (string * int64) list
 (** Non-zero balances in one core's bucket, sorted by name. *)
-
-val pp : Format.formatter -> t -> unit
-
-val pp_per_cpu : Format.formatter -> t -> unit
-(** Per-core breakdown: one block per core with non-zero charges. *)

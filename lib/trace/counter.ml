@@ -71,8 +71,6 @@ let to_list set =
      stable whatever order the names were interned in. *)
   List.sort compare !acc
 
-let dump = to_list
-
 let fold set ~init ~f =
   List.fold_left (fun acc (name, v) -> f acc name v) init (to_list set)
 
@@ -85,6 +83,3 @@ let matching set ~prefix =
 
 let sum_matching set ~prefix =
   List.fold_left (fun acc (_, v) -> acc + v) 0 (matching set ~prefix)
-
-let pp ppf set =
-  List.iter (fun (name, v) -> Format.fprintf ppf "%s = %d@." name v) (to_list set)

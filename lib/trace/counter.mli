@@ -51,15 +51,9 @@ val reset : set -> unit
 val to_list : set -> (string * int) list
 (** All counters with non-zero values, sorted by name. *)
 
-val dump : set -> (string * int) list
-(** Alias for {!to_list}: sorted by name, stable across interning
-    order — safe to diff in bit-for-bit replay checks. *)
-
 val fold : set -> init:'a -> f:('a -> string -> int -> 'a) -> 'a
 
 val matching : set -> prefix:string -> (string * int) list
 (** Counters whose name starts with [prefix], sorted by name. *)
 
 val sum_matching : set -> prefix:string -> int
-
-val pp : Format.formatter -> set -> unit

@@ -8,8 +8,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity < 1";
   { slots = Array.make capacity None; next = 0; appended = 0 }
 
-let capacity t = Array.length t.slots
-
 let record t ~time value =
   t.slots.(t.next) <- Some (time, value);
   t.next <- (t.next + 1) mod Array.length t.slots;

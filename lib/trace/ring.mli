@@ -9,7 +9,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : 'a t -> int
 val record : 'a t -> time:int64 -> 'a -> unit
 val length : 'a t -> int
 (** Number of retained entries, [<= capacity]. *)
@@ -22,9 +21,6 @@ val dropped : 'a t -> int
 
 val to_list : 'a t -> (int64 * 'a) list
 (** Retained entries, oldest first. *)
-
-val iter : 'a t -> f:(int64 -> 'a -> unit) -> unit
-(** Iterate oldest-first over retained entries. *)
 
 val find_last : 'a t -> f:('a -> bool) -> (int64 * 'a) option
 (** Most recent retained entry satisfying [f]. *)

@@ -95,10 +95,6 @@ type t = {
 
 type stop_reason = Exec.stop_reason = Idle | Condition | Dispatch_limit
 
-let machine t = t.mach
-let mapdb t = t.mapdb
-let caps t = t.caps
-
 (* Capability object namespaces (E19). Page objects encode the mapping
    identity so revoking a page cap can find its Mapdb node; user objects
    (service sessions minted via Cap_mint) are tagged apart so the two can
@@ -174,17 +170,6 @@ let find_alive k tid =
   match find k tid with
   | Some tcb when tcb.state <> Dead -> Some tcb
   | Some _ | None -> None
-
-let is_paused k tid =
-  match find k tid with Some tcb -> tcb.paused | None -> false
-
-let dirty_count k tid =
-  match find k tid with
-  | None -> 0
-  | Some tcb -> (
-      match Hashtbl.find_opt k.log_dirty tcb.asid with
-      | Some dirty -> Hashtbl.length dirty
-      | None -> 0)
 
 let space_exn k asid =
   match Hashtbl.find_opt k.spaces asid with

@@ -16,18 +16,10 @@
 
 type t
 
-val priorities : int
-(** Priority levels; 0 is highest, [priorities - 1] lowest. *)
-
 val default_priority : int
-
-val kernel_account : string
-(** ["ukernel"]. *)
 
 val create : Vmk_hw.Machine.t -> t
 (** A kernel for the given (fresh) machine. *)
-
-val machine : t -> Vmk_hw.Machine.t
 
 val spawn :
   t ->
@@ -58,22 +50,7 @@ val kill : t -> Sysif.tid -> unit
     attachments are dropped. Killing the last thread of a space revokes
     the space's mappings from the mapping database. *)
 
-val inject_kill : t -> Sysif.tid -> unit
-(** Unwind-kill (also the [Kill_thread] syscall): the victim's pending
-    operation completes with [R_error Killed], so the wrapper raises
-    {!Sysif.Ipc_error}[ Killed] inside its fiber and the unwind terminates
-    it. Unlike {!kill}, the death is observable from inside the victim. A
-    thread that never started is terminated directly. *)
-
 val is_alive : t -> Sysif.tid -> bool
-
-val is_paused : t -> Sysif.tid -> bool
-(** Paused threads keep their state but are excluded from scheduling
-    (E20 stop-and-copy quiesce); replies and IPC park until resume. *)
-
-val dirty_count : t -> Sysif.tid -> int
-(** Pages currently marked dirty in the thread's space (0 when
-    log-dirty tracking is not armed). *)
 
 val state_name : t -> Sysif.tid -> string
 (** Human-readable state for diagnostics/tests:
@@ -82,12 +59,3 @@ val state_name : t -> Sysif.tid -> string
 
 val thread_count : t -> int
 (** Threads that are not dead. *)
-
-val mapdb : t -> Mapdb.t
-
-val caps : t -> Vmk_cap.Cap.t
-(** The kernel's capability tables (E19): every page handed out by
-    [Alloc_pages] carries a root cap, IPC map/grant items derive child
-    caps in the receiver's space, and revocation (the [Unmap] and
-    [Cap_revoke] syscalls, space death) tears mappings down through the
-    derivation tree. *)

@@ -59,11 +59,6 @@ val vnet_revoke : int
 
 (** {1 Capability transfer (E19)} *)
 
-val cap_grant : int
-(** Carries a capability handle in [w.(0)]: the sender has derived a cap
-    into the receiver's handle table ({!Sysif.cap_derive}) and hands over
-    the handle — resource delegation as plain IPC payload. *)
-
 val revoke_pool : int
 (** Client → pager: recursively revoke every mapping delegated out of the
     pager's pool (the pager keeps its own pages). [ok] carries the number

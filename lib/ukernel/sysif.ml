@@ -2,7 +2,6 @@ type tid = int
 
 let irq_tid line = -(line + 1)
 let is_irq_tid tid = tid < 0
-let line_of_irq_tid tid = -tid - 1
 
 type fpage = { base_vpn : int; pages : int; writable : bool }
 
@@ -203,11 +202,3 @@ let dirty_read target =
   | R_error e -> raise (Ipc_error e)
   | R_unit | R_tid _ | R_msg _ | R_fpage _ ->
       raise (Ipc_error (Bad_argument "reply"))
-
-let pp_error ppf = function
-  | Dead_partner -> Format.pp_print_string ppf "dead-partner"
-  | Not_permitted -> Format.pp_print_string ppf "not-permitted"
-  | Bad_argument what -> Format.fprintf ppf "bad-argument(%s)" what
-  | Page_fault_unhandled vpn -> Format.fprintf ppf "unhandled-fault(vpn %d)" vpn
-  | Killed -> Format.pp_print_string ppf "killed"
-  | Timeout -> Format.pp_print_string ppf "timeout"

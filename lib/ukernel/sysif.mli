@@ -18,7 +18,6 @@ val irq_tid : int -> tid
 (** Pseudo-tid that IPC from interrupt line [n] appears to come from. *)
 
 val is_irq_tid : tid -> bool
-val line_of_irq_tid : tid -> int
 
 type fpage = { base_vpn : int; pages : int; writable : bool }
 (** A flexpage: [pages] virtual pages starting at [base_vpn]. *)
@@ -191,5 +190,3 @@ val thread_pause : tid -> unit
 val thread_resume : tid -> unit
 val log_dirty : target:tid -> enable:bool -> unit
 val dirty_read : tid -> int list
-
-val pp_error : Format.formatter -> error -> unit

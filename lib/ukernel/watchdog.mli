@@ -29,9 +29,6 @@ val given_up : t -> string list
 (** Services currently abandoned after the give-up cap, oldest first.
     A service revived by a successful manual rebuild leaves the list. *)
 
-val default_give_up : int
-(** [8] consecutive respawns. *)
-
 val body :
   Vmk_hw.Machine.t ->
   t ->
@@ -48,7 +45,7 @@ val body :
     The first respawn after a healthy ping is immediate; the [n]-th
     consecutive one waits [backoff * 2^(n-1)] cycles (default
     [backoff = period], so isolated failures behave as before), and
-    after [give_up] consecutive respawns (default {!default_give_up})
+    after [give_up] consecutive respawns (default 8)
     the service is abandoned. A healthy ping resets both the streak and
     the backoff gate. Abandonment is not permanent: the watchdog keeps
     pinging abandoned services, and a healthy reply — e.g. after a

@@ -65,10 +65,7 @@ let connect_opt ?timeout ?(generation = 0) chan mach () =
                 }
           | exception Hcall.Hcall_error _ -> None))
 
-let connect chan mach () = Option.get (connect_opt chan mach ())
-
 let port t = t.my_port
-let frontend t = t.front
 
 let notify t = try Hcall.evtchn_send t.my_port with Hcall.Hcall_error _ -> ()
 

@@ -7,10 +7,6 @@
 
 type t
 
-val connect : Blk_channel.t -> Vmk_hw.Machine.t -> unit -> t
-(** Backend half of the handshake (spins until the frontend published its
-    port). *)
-
 val connect_opt :
   ?timeout:int64 ->
   ?generation:int ->
@@ -18,7 +14,8 @@ val connect_opt :
   Vmk_hw.Machine.t ->
   unit ->
   t option
-(** Like {!connect} but with a bounded wait ([None] on timeout or bind
+(** Backend half of the handshake: waits until the frontend has
+    published its port, then binds ([None] on [timeout] or bind
     failure). [generation > 0] runs the reconnect handshake of a
     restarted backend: publish [key/g<n>/backend-dom], bump [key/gen] to
     cue the frontend, and negotiate a fresh port pair under the [g<n>]
@@ -26,7 +23,6 @@ val connect_opt :
     predecessor). *)
 
 val port : t -> Hcall.port
-val frontend : t -> Hcall.domid
 
 val handle_event : t -> unit
 (** Pull requests from the ring and submit them to the disk. *)

@@ -137,7 +137,6 @@ let write t ~mux ~sector ~bytes ~tag ?timeout () =
   | Some id -> await t ~mux ~id ~timeout <> None
 
 let backend_dead t = t.dead
-let generation t = t.generation
 
 (* A notification to a dead backend comes back [Dead_domain]; to a live
    one it is a harmless spurious event. The cheapest liveness check a

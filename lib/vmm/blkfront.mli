@@ -41,10 +41,6 @@ val write :
 
 val backend_dead : t -> bool
 
-val generation : t -> int
-(** Reconnect generation: 0 for the original connection, then the
-    backend's [key/gen] value after each successful {!reconnect}. *)
-
 val probe : t -> bool
 (** Liveness check: send a (harmless, spurious) notification to the
     backend; [Dead_domain] marks the frontend dead. Returns

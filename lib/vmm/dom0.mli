@@ -41,7 +41,7 @@ val body :
 
     [net_napi] puts every net backend in NAPI-style hybrid
     interrupt/polling mode with the given poll budget (see
-    {!Netback.connect}). [net_poll] is polling-only mode (E16's other
+    {!Netback.connect_opt}). [net_poll] is polling-only mode (E16's other
     extreme): the NIC interrupt is never bound — the line stays masked,
     so the hypervisor routes nothing — and Dom0 services the NIC every
     [net_poll] cycles off its block timeout (counter

@@ -242,11 +242,3 @@ let xs_wait_pred ?timeout path pred =
 let exit () =
   ignore (invoke H_exit);
   assert false
-
-let pp_error ppf = function
-  | Bad_port -> Format.pp_print_string ppf "bad-port"
-  | Bad_gref -> Format.pp_print_string ppf "bad-gref"
-  | Permission_denied -> Format.pp_print_string ppf "permission-denied"
-  | Out_of_memory -> Format.pp_print_string ppf "out-of-memory"
-  | Dead_domain -> Format.pp_print_string ppf "dead-domain"
-  | Not_virtualisable what -> Format.fprintf ppf "not-virtualisable(%s)" what

@@ -231,5 +231,3 @@ val xs_wait_pred : ?timeout:int64 -> string -> (string -> bool) -> string option
     exceed one's own. Same caveat about events for other ports. *)
 
 val exit : unit -> 'a
-
-val pp_error : Format.formatter -> error -> unit

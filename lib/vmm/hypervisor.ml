@@ -128,8 +128,6 @@ type t = {
 
 type stop_reason = Exec.stop_reason = Idle | Condition | Dispatch_limit
 
-let machine t = t.mach
-
 let create mach =
   let c = mach.Machine.counters in
   {
@@ -167,8 +165,6 @@ let create mach =
     mapped_frame = Hashtbl.create 64;
     cap_ctx = Ctx_none;
   }
-
-let caps h = h.caps
 
 let with_cap_ctx h ctx f =
   let saved = h.cap_ctx in
@@ -272,12 +268,6 @@ let state_name h domid =
       | Running -> "running"
       | Blocked -> "blocked"
       | Dead -> "dead")
-
-let is_paused h domid =
-  match find h domid with Some d -> d.paused | None -> false
-
-let dirty_count h domid =
-  match find h domid with Some d -> Hashtbl.length d.dirty | None -> 0
 
 (* --- cost helpers --- *)
 

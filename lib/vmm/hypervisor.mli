@@ -7,21 +7,14 @@
     system-call paths (trap-gate shortcut vs bounce through the VMM).
 
     Like Xen, the hypervisor lives in a reserved hole at the top of every
-    guest address space ({!vmm_hole}); hypercalls therefore cost a trap
-    but no address-space switch, while switching *between* domains is a
-    full world switch (TLB flush on untagged platforms).
+    guest address space; hypercalls therefore cost a trap but no
+    address-space switch, while switching *between* domains is a full
+    world switch (TLB flush on untagged platforms).
 
     Cost accounting: guest computation is charged to the domain's
     account (its name); all hypervisor work to ["vmm"]. *)
 
 type t
-
-val vmm_account : string
-(** ["vmm"]. *)
-
-val vmm_hole : Vmk_hw.Addr.range
-(** The reserved hypervisor address range guest segments must exclude for
-    the syscall shortcut to be safe. *)
 
 type pt_mode =
   | Paravirt  (** Validated hypercall updates (Xen's paravirtualisation). *)
@@ -31,14 +24,6 @@ type pt_mode =
           shadow — compare ablation A6. *)
 
 val create : Vmk_hw.Machine.t -> t
-
-val machine : t -> Vmk_hw.Machine.t
-
-val caps : t -> Vmk_cap.Cap.t
-(** The machine's capability tables (E19). Grant entries and grant
-    mappings are mirrored here as a derivation tree — grant caps parent
-    the map caps of their mappings, and transitive grants derive from
-    the map cap they were made through — so revocation cascades. *)
 
 val create_domain :
   t ->
@@ -100,10 +85,3 @@ val is_alive : t -> Hcall.domid -> bool
 
 val state_name : t -> Hcall.domid -> string
 (** ["ready"|"running"|"blocked"|"dead"|"missing"]. *)
-
-val is_paused : t -> Hcall.domid -> bool
-(** Paused domains keep their state but are excluded from scheduling
-    (E20 stop-and-copy quiesce); events accumulate until unpause. *)
-
-val dirty_count : t -> Hcall.domid -> int
-(** Pages currently marked in the domain's log-dirty bitmap. *)

@@ -79,8 +79,6 @@ type t = {
           of the physical NIC, completing immediately; the handler's
           result is bounced to the frontend as the ECN mark. *)
   mutable rx_delivered : int;
-  mutable tx_forwarded : int;
-  mutable rx_shed : int;
   mutable dirty : bool;  (** Responses pushed since the last notify. *)
 }
 
@@ -159,8 +157,6 @@ let connect_opt ?timeout ?(generation = 0) ?admit ?fair ?napi
                   attach_nic;
                   tx_handler = None;
                   rx_delivered = 0;
-                  tx_forwarded = 0;
-                  rx_shed = 0;
                   dirty = false;
                 }
               in
@@ -189,14 +185,9 @@ let connect_opt ?timeout ?(generation = 0) ?admit ?fair ?napi
               Some t
           | exception Hcall.Hcall_error _ -> None))
 
-let connect ?admit ?fair ?napi ?attach_nic chan mach ?nic_buffers () =
-  Option.get
-    (connect_opt ?admit ?fair ?napi ?attach_nic chan mach ?nic_buffers ())
-
 let set_tx_handler t h = t.tx_handler <- Some h
 
 let port t = t.my_port
-let frontend t = t.front
 let demux_key t = t.chan.Net_channel.demux_key
 
 let notify t = try Hcall.evtchn_send t.my_port with Hcall.Hcall_error _ -> ()
@@ -231,7 +222,6 @@ let handle_event t =
             | None ->
                 Hashtbl.replace t.tx_pending frame.Frame.index tx_gref;
                 Nic.submit_tx t.mach.Machine.nic frame ~len:tx_len);
-            t.tx_forwarded <- t.tx_forwarded + 1;
             Counter.incr_id t.mach.Machine.counters t.ids.id_tx_packets;
             drain_tx ()
         | exception Hcall.Hcall_error _ -> drain_tx ()
@@ -324,7 +314,6 @@ let deliver_copy t (ev : Nic.rx_event) =
    the receive-livelock defense. *)
 let shed_one t (ev : Nic.rx_event) =
   Hcall.burn shed_work;
-  t.rx_shed <- t.rx_shed + 1;
   Counter.incr_id t.mach.Machine.counters t.ids.id_rx_shed;
   Counter.incr_id t.mach.Machine.counters t.ids.id_shed;
   Queue.add ev.Nic.frame t.pool
@@ -498,6 +487,3 @@ let handle_nic t =
       drain_tx_done t;
       flush t
 
-let rx_delivered t = t.rx_delivered
-let tx_forwarded t = t.tx_forwarded
-let rx_shed t = t.rx_shed

@@ -12,7 +12,9 @@
 
 type t
 
-val connect :
+val connect_opt :
+  ?timeout:int64 ->
+  ?generation:int ->
   ?admit:Vmk_overload.Overload.Token_bucket.t ->
   ?fair:Vmk_overload.Overload.Weighted_buckets.t ->
   ?napi:int ->
@@ -21,8 +23,8 @@ val connect :
   Vmk_hw.Machine.t ->
   ?nic_buffers:int ->
   unit ->
-  t
-(** Backend half of the handshake. Spins (yielding) until the frontend
+  t option
+(** Backend half of the handshake. Waits (yielding) until the frontend
     has published its port, then binds, collects the frontend's initial
     buffer posts and stocks the NIC with [nic_buffers] receive buffers
     (default 16). [admit] installs a token-bucket admission gate on the
@@ -44,26 +46,13 @@ val connect :
     [attach_nic:false] (bridge backends, E17) keeps pool frames local
     instead of posting them as physical-NIC receive buffers: this
     backend's receive side is fed by {!deliver_pkt}, its transmit side
-    redirected with {!set_tx_handler}. *)
+    redirected with {!set_tx_handler}.
 
-val connect_opt :
-  ?timeout:int64 ->
-  ?generation:int ->
-  ?admit:Vmk_overload.Overload.Token_bucket.t ->
-  ?fair:Vmk_overload.Overload.Weighted_buckets.t ->
-  ?napi:int ->
-  ?attach_nic:bool ->
-  Net_channel.t ->
-  Vmk_hw.Machine.t ->
-  ?nic_buffers:int ->
-  unit ->
-  t option
-(** Like {!connect} but with a bounded wait ([None] on timeout or bind
-    failure). [generation > 0] runs the restarted-backend reconnect
-    handshake under the [key/g<n>/] subtree — see {!Blkback.connect_opt}. *)
+    [None] on [timeout] or bind failure. [generation > 0] runs the
+    restarted-backend reconnect handshake under the [key/g<n>/] subtree
+    — see {!Blkback.connect_opt}. *)
 
 val port : t -> Hcall.port
-val frontend : t -> Hcall.domid
 
 val handle_event : t -> unit
 (** Process frontend activity: transmit requests (grant-map + NIC submit)
@@ -76,7 +65,7 @@ val handle_nic : t -> unit
     itself and routes through {!deliver_rx}/{!complete_tx}/{!flush}
     (the demux path stays on per-packet interrupts). In NAPI mode
     ([napi] at connect) this is the hybrid poll loop described at
-    {!connect}. *)
+    {!connect_opt}. *)
 
 val demux_key : t -> int
 (** The frontend's demux key: packets tagged [key·10⁶ + seq] are its. *)
@@ -112,8 +101,3 @@ val flush : t -> unit
 (** Restock the NIC from the pool and notify the frontend if anything was
     delivered since the last flush. *)
 
-val rx_delivered : t -> int
-val tx_forwarded : t -> int
-
-val rx_shed : t -> int
-(** Packets shed at the admission gate before delivery work. *)

@@ -13,25 +13,19 @@ type t = {
   rx_grants : (Hcall.gref, Frame.frame) Hashtbl.t;
   delivered : (int * int) Queue.t;
   mutable tx_acked : int;
-  mutable rx_received : int;
-  mutable rx_post_dropped : int;
-      (** Receive-buffer posts rejected by a full rx ring — explicit
-          back-pressure, not a silent leak (the grant is revoked). *)
   mutable ecn_pending : bool;
       (** A tx completion carried the bridge's congestion mark and the
           sender has not yet consumed it. *)
-  mutable ecn_marks : int;
   mutable dead : bool;
 }
 
 let guard t f = try f () with Hcall.Hcall_error _ -> t.dead <- true
 let notify t = guard t (fun () -> Hcall.evtchn_send t.my_port)
 
-(* A rejected post used to leave the grant dangling; now the grant is
-   revoked and the rejection counted — the frontend backs off and
-   reposts on the next pump. *)
+(* A receive-buffer post rejected by a full rx ring revokes its grant
+   rather than leaving it dangling; the frontend backs off and reposts on
+   the next pump. *)
 let unpost t gref =
-  t.rx_post_dropped <- t.rx_post_dropped + 1;
   Hashtbl.remove t.rx_grants gref;
   try Hcall.grant_revoke gref with Hcall.Hcall_error _ -> ()
 
@@ -79,10 +73,7 @@ let connect chan ~backend ?(arch = Arch.default) ?(rx_buffers = 32) () =
       rx_grants = Hashtbl.create 32;
       delivered = Queue.create ();
       tx_acked = 0;
-      rx_received = 0;
-      rx_post_dropped = 0;
       ecn_pending = false;
-      ecn_marks = 0;
       dead = false;
     }
   in
@@ -116,10 +107,7 @@ let restore chan ~generation ?(arch = Arch.default) () =
       rx_grants = Hashtbl.create 32;
       delivered = Queue.create ();
       tx_acked = 0;
-      rx_received = 0;
-      rx_post_dropped = 0;
       ecn_pending = false;
-      ecn_marks = 0;
       dead = true;
     }
   in
@@ -138,10 +126,7 @@ let pump t =
   let rec drain_tx () =
     match Ring.pop_response t.chan.Net_channel.tx_ring with
     | Some { Net_channel.txr_gref; txr_mark } ->
-        if txr_mark then begin
-          t.ecn_pending <- true;
-          t.ecn_marks <- t.ecn_marks + 1
-        end;
+        if txr_mark then t.ecn_pending <- true;
         Hcall.burn Net_channel.ring_cost;
         (match Hashtbl.find_opt t.tx_inflight txr_gref with
         | Some frame ->
@@ -161,7 +146,6 @@ let pump t =
         | Net_channel.Rx_flipped { full; len } ->
             app_copy t len;
             Queue.add (len, full.Frame.tag) t.delivered;
-            t.rx_received <- t.rx_received + 1;
             (* The page is ours now; hand it straight back to keep the
                backend's pool stocked. *)
             post_rx_buffer t full;
@@ -171,8 +155,7 @@ let pump t =
             | Some frame ->
                 app_copy t len;
                 Queue.add (len, frame.Frame.tag) t.delivered;
-                t.rx_received <- t.rx_received + 1;
-                Hcall.burn Net_channel.ring_cost;
+                    Hcall.burn Net_channel.ring_cost;
                 if
                   Ring.push_request t.chan.Net_channel.rx_ring
                     (Net_channel.Rx_post_copy { rx_gref = rxr_gref })
@@ -239,15 +222,12 @@ let recv_blocking t ?timeout () =
 
 let tx_acked t = t.tx_acked
 let tx_unacked t = Hashtbl.length t.tx_inflight
-let rx_received t = t.rx_received
-let rx_post_dropped t = t.rx_post_dropped
 
 let take_ecn_mark t =
   let m = t.ecn_pending in
   t.ecn_pending <- false;
   m
 
-let ecn_marks t = t.ecn_marks
 let backend_dead t = t.dead
 let generation t = t.generation
 

@@ -64,22 +64,12 @@ val tx_unacked : t -> int
     with requests in its tx ring strands them: the backend's grant map
     fails against the dead domain). *)
 
-val rx_received : t -> int
-
-val rx_post_dropped : t -> int
-(** Receive-buffer posts rejected by a full rx ring. The grant is
-    revoked on rejection, so nothing leaks; the frontend reposts on a
-    later pump (E15 back-pressure, was a silent drop). *)
-
 val take_ecn_mark : t -> bool
 (** Consume the pending ECN congestion mark: [true] if any transmit
     completion since the last call carried the bridge's
     past-the-watermark bit ({!Net_channel.tx_resp}[.txr_mark]). The
     sender should back off before the destination starts dropping
     (E17). *)
-
-val ecn_marks : t -> int
-(** Total marked transmit completions seen. *)
 
 val backend_dead : t -> bool
 (** A send or notification failed with [Dead_domain]. *)

@@ -14,9 +14,6 @@
 val name : string
 (** ["parallax"] — also its cycle account. *)
 
-val virtual_disk_stride : int
-(** Client [i]'s sector [s] lives at physical sector [s * stride + i]. *)
-
 val body :
   Vmk_hw.Machine.t ->
   clients:Blk_channel.t list ->

@@ -34,8 +34,6 @@ let create ~capacity () =
     on_response_drop = (fun () -> ());
   }
 
-let capacity t = t.capacity
-
 let on_request_drop t f = t.on_request_drop <- f
 let on_response_drop t f = t.on_response_drop <- f
 

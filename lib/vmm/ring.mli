@@ -12,8 +12,6 @@ type ('req, 'resp) t
 val create : capacity:int -> unit -> ('req, 'resp) t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : ('req, 'resp) t -> int
-
 
 val on_request_drop : ('req, 'resp) t -> (unit -> unit) -> unit
 (** Hook for rejected {e request} pushes only. A refused request is

@@ -44,9 +44,7 @@ module Mac_table = struct
     mutable ports : int array;
     mutable seen : int array;  (* last activity, virtual cycles *)
     mutable state : Bytes.t;
-    mutable live : int;
     mutable filled : int;  (* live + tombstones *)
-    mutable learns : int;
     mutable moves : int;
     mutable expiries : int;
     (* Bumped on every structural change (insert, move, expiry,
@@ -64,9 +62,7 @@ module Mac_table = struct
       ports = Array.make 16 0;
       seen = Array.make 16 0;
       state = Bytes.make 16 empty;
-      live = 0;
       filled = 0;
-      learns = 0;
       moves = 0;
       expiries = 0;
       gen = 0;
@@ -102,7 +98,6 @@ module Mac_table = struct
     t.ports <- Array.make ncap 0;
     t.seen <- Array.make ncap 0;
     t.state <- Bytes.make ncap empty;
-    t.live <- 0;
     t.filled <- 0;
     t.gen <- t.gen + 1;
     Array.iteri
@@ -113,7 +108,6 @@ module Mac_table = struct
           t.ports.(j) <- oports.(i);
           t.seen.(j) <- oseen.(i);
           Bytes.set t.state j used;
-          t.live <- t.live + 1;
           t.filled <- t.filled + 1
         end)
       okeys
@@ -135,8 +129,6 @@ module Mac_table = struct
       t.ports.(i) <- port;
       t.seen.(i) <- now;
       Bytes.set t.state i used;
-      t.live <- t.live + 1;
-      t.learns <- t.learns + 1;
       t.gen <- t.gen + 1;
       if 4 * t.filled > 3 * Array.length t.keys then resize t
     end
@@ -181,7 +173,6 @@ module Mac_table = struct
     if Bytes.get t.state i <> used then -1
     else if now - t.seen.(i) > t.ttl then begin
       Bytes.set t.state i dead;
-      t.live <- t.live - 1;
       t.expiries <- t.expiries + 1;
       t.gen <- t.gen + 1;
       -1
@@ -191,8 +182,6 @@ module Mac_table = struct
   let lookup t ~now mac =
     match lookup_port t ~now mac with -1 -> None | p -> Some p
 
-  let size t = t.live
-  let learns t = t.learns
   let moves t = t.moves
   let expiries t = t.expiries
 end
@@ -446,8 +435,6 @@ module Flow_cache = struct
       t.fifo_len <- !keep
     end
 
-  let size t = t.live
-  let capacity t = t.capacity
   let hits t = t.hits
   let misses t = t.misses
   let evictions t = t.evictions
@@ -508,12 +495,8 @@ module Switch = struct
     mark_at : int;  (* capacity + 1 = never marks *)
     fair : Overload.Weighted_buckets.t option;
     mutable by_id : port option array;  (* dense port table *)
-    mutable port_ids : int list;  (* ascending, rebuilt on add *)
     scratch : delivery;  (* reused result of [forward] *)
-    mutable forwarded : int;
-    mutable flooded : int;
     mutable dropped : int;
-    mutable no_route : int;
   }
 
   let no_burn (_ : int) = ()
@@ -546,12 +529,8 @@ module Switch = struct
       mark_at = Option.value mark_at ~default:(port_capacity + 1);
       fair;
       by_id = Array.make 16 None;
-      port_ids = [];
       scratch = { enqueued = 0; marked = false; flood = false };
-      forwarded = 0;
-      flooded = 0;
       dropped = 0;
-      no_route = 0;
     }
 
   let[@inline] note t id =
@@ -579,12 +558,6 @@ module Switch = struct
         m_mi = 0; m_mgen = -1; m_fgen = -1 }
     in
     t.by_id.(id) <- Some p;
-    let rec ins (l : int list) =
-      match l with
-      | [] -> [ id ]
-      | x :: rest -> if id < x then id :: l else x :: ins rest
-    in
-    t.port_ids <- ins t.port_ids;
     id
 
   let port_fail id = invalid_arg (Printf.sprintf "Switch: unknown port %d" id)
@@ -596,7 +569,6 @@ module Switch = struct
       | None -> port_fail id
     else port_fail id
 
-  let ports t = t.port_ids
   let q_marked t p = p.q_count >= t.mark_at
 
   let[@inline] q_store p ~at ~src ~dst ~len ~tag =
@@ -633,7 +605,6 @@ module Switch = struct
       if port.q_count >= q_slots port then grow_ring t port;
       q_store port ~at:(port.q_head + port.q_count) ~src ~dst ~len ~tag;
       port.q_count <- port.q_count + 1;
-      t.forwarded <- t.forwarded + 1;
       true
     end
     else
@@ -642,8 +613,7 @@ module Switch = struct
           port.q_head <-
             (if port.q_head + 1 >= q_slots port then 0 else port.q_head + 1);
           q_store port ~at:(port.q_head + port.q_count - 1) ~src ~dst ~len ~tag;
-          t.forwarded <- t.forwarded + 1;
-          t.dropped <- t.dropped + 1;
+              t.dropped <- t.dropped + 1;
           note t t.id_drop;
           note t t.id_overload_drop;
           true
@@ -682,7 +652,6 @@ module Switch = struct
       (* Flood: every port but the source. *)
       if t.has_burn then t.burn flow_miss_cost;
       note t t.id_flood;
-      t.flooded <- t.flooded + 1;
       r.flood <- true;
       let by_id = t.by_id in
       for id = 1 to Array.length by_id - 1 do
@@ -715,7 +684,6 @@ module Switch = struct
         (* Unknown unicast destination (the guest never attached) or a
            hairpin to self (the bridge does not reflect): count and
            drop. *)
-        t.no_route <- t.no_route + 1;
         note t t.id_no_route
       end
       else begin
@@ -750,7 +718,6 @@ module Switch = struct
     note t t.id_flow_hit;
     q_store out ~at:(out.q_head + out.q_count) ~src ~dst ~len ~tag;
     out.q_count <- out.q_count + 1;
-    t.forwarded <- t.forwarded + 1;
     let r = t.scratch in
     r.enqueued <- 1;
     r.flood <- false;
@@ -862,8 +829,5 @@ module Switch = struct
 
   let mac_table t = t.mac
   let flow_cache t = t.flows
-  let forwarded t = t.forwarded
-  let flooded t = t.flooded
   let dropped t = t.dropped
-  let no_route t = t.no_route
 end

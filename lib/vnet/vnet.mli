@@ -22,10 +22,8 @@
 
 type pkt = { src : int; dst : int; len : int; tag : int }
 (** [src]/[dst] are vnet port ids (decoded from the machine-wide tag
-    convention by the caller). *)
-
-val broadcast : int
-(** Destination 0 floods to every port except the source. *)
+    convention by the caller); [dst = 0] floods to every port except the
+    source. *)
 
 val flow_hit_cost : int
 (** Cycles for a forwarding decision resolved by the flow cache. *)
@@ -56,8 +54,6 @@ module Mac_table : sig
   val lookup_port : t -> now:int64 -> int -> int
   (** Allocation-free {!lookup}: [-1] = miss (ports are non-negative). *)
 
-  val size : t -> int
-  val learns : t -> int
   val moves : t -> int
   val expiries : t -> int
 end
@@ -82,8 +78,6 @@ module Flow_cache : sig
   val invalidate : t -> mac:int -> unit
   (** Drop every cached flow naming [mac] (station moved). *)
 
-  val size : t -> int
-  val capacity : t -> int
   val hits : t -> int
   val misses : t -> int
   val evictions : t -> int
@@ -127,9 +121,6 @@ module Switch : sig
   (** Register a port (a guest's attachment point). Returns [id].
       @raise Invalid_argument on duplicates or the broadcast id 0. *)
 
-  val ports : t -> int list
-  (** Registered port ids, ascending. *)
-
   val forward : t -> now:int64 -> in_port:int -> pkt -> delivery
   (** Forward one packet arriving on [in_port]: learn the source,
       fair-admit, resolve, enqueue. Drops (full destination queue,
@@ -162,8 +153,5 @@ module Switch : sig
 
   val mac_table : t -> Mac_table.t
   val flow_cache : t -> Flow_cache.t
-  val forwarded : t -> int
-  val flooded : t -> int
   val dropped : t -> int
-  val no_route : t -> int
 end
