@@ -34,22 +34,21 @@ type t = {
           embedder keeps unique (page identities, grant refs). *)
   counters : Counter.set;
   burn : int -> unit;
-  lookup_cost : int;
-  derive_cost : int;
-  revoke_step_cost : int;
   mutable next_handle : handle;
 }
 
-let create ~counters ?(burn = fun _ -> ()) ?(lookup_cost = 40)
-    ?(derive_cost = 90) ?(revoke_step_cost = 120) () =
+(* Cycles charged through [burn] per handle lookup, per created handle
+   and per capability torn down. *)
+let lookup_cost = 40
+let derive_cost = 90
+let revoke_step_cost = 120
+
+let create ~counters ?(burn = fun _ -> ()) () =
   {
     tables = Hashtbl.create 16;
     by_obj = Hashtbl.create 64;
     counters;
     burn;
-    lookup_cost;
-    derive_cost;
-    revoke_step_cost;
     next_handle = 1;
   }
 
@@ -90,7 +89,7 @@ let find_node t ~dom ~handle =
 (* --- operations --- *)
 
 let mint t ~dom ~obj ~rights =
-  t.burn t.derive_cost;
+  t.burn derive_cost;
   Counter.incr t.counters "cap.minted";
   let node =
     {
@@ -106,12 +105,12 @@ let mint t ~dom ~obj ~rights =
   node.n_handle
 
 let lookup t ~dom ~handle =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   Option.map info_of (find_node t ~dom ~handle)
 
 let check t ~dom ~handle ~need =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   match find_node t ~dom ~handle with
   | Some node when has node.n_rights need -> true
@@ -120,7 +119,7 @@ let check t ~dom ~handle ~need =
       false
 
 let derive t ~dom ~handle ~to_dom ~obj ~rights =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   match find_node t ~dom ~handle with
   | None ->
@@ -132,7 +131,7 @@ let derive t ~dom ~handle ~to_dom ~obj ~rights =
         Error `Denied
       end
       else begin
-        t.burn t.derive_cost;
+        t.burn derive_cost;
         Counter.incr t.counters "cap.derived";
         let node =
           {
@@ -151,14 +150,14 @@ let derive t ~dom ~handle ~to_dom ~obj ~rights =
       end
 
 let grant t ~dom ~handle ~to_dom ~obj =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   match find_node t ~dom ~handle with
   | None ->
       Counter.incr t.counters "cap.denied";
       Error `No_cap
   | Some src ->
-      t.burn t.derive_cost;
+      t.burn derive_cost;
       Counter.incr t.counters "cap.granted";
       let node =
         {
@@ -208,7 +207,7 @@ let rec teardown t ~on_revoke ~removed ~maxd node ~depth =
     node.n_children;
   node.n_children <- [];
   unregister t node;
-  t.burn t.revoke_step_cost;
+  t.burn revoke_step_cost;
   Counter.incr t.counters "cap.revoked";
   incr removed;
   if depth > !maxd then maxd := depth;
@@ -220,7 +219,7 @@ let finish_revoke t ~removed ~maxd =
   { r_removed = !removed; r_max_depth = !maxd }
 
 let revoke t ~dom ~handle ~self ~on_revoke =
-  t.burn t.lookup_cost;
+  t.burn lookup_cost;
   Counter.incr t.counters "cap.lookups";
   match find_node t ~dom ~handle with
   | None ->

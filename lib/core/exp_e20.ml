@@ -234,8 +234,8 @@ let run ~quick =
   let kills = vmm_kills @ [ timed_vmm ] @ uk_kills @ [ timed_uk ] in
   (* 3. Driver-domain handoff under the packet storm. *)
   let packets = if quick then 32 else 64 in
-  let planned = Mig_vmm.driver_handoff ~mode:`Planned ~storm:true ~packets () in
-  let crash = Mig_vmm.driver_handoff ~mode:`Crash ~storm:true ~packets () in
+  let planned = Mig_vmm.driver_handoff ~mode:`Planned ~packets () in
+  let crash = Mig_vmm.driver_handoff ~mode:`Crash ~packets () in
   let pre_lo = List.nth vmm_rows 0 in
   let pre_hi = List.nth vmm_rows 1 in
   let sc_lo = List.nth vmm_rows 2 in

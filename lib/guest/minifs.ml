@@ -9,14 +9,14 @@ type t = {
   mutable next_sector : int;
 }
 
-let create ~read ~write ?(first_sector = 0) () =
+let create ~read ~write () =
   {
     read;
     write;
     files = Hashtbl.create 16;
     by_name = Hashtbl.create 16;
     next_fd = 3; (* tradition *)
-    next_sector = first_sector;
+    next_sector = 0;
   }
 
 let open_or_create t name =

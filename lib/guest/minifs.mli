@@ -11,11 +11,10 @@ type t
 val create :
   read:(sector:int -> int option) ->
   write:(sector:int -> tag:int -> bool) ->
-  ?first_sector:int ->
   unit ->
   t
 (** A file system writing through the given block callbacks, allocating
-    sectors upward from [first_sector] (default 0). *)
+    sectors upward from 0. *)
 
 val open_or_create : t -> string -> int
 (** File descriptor for [name], creating the file if needed. *)

@@ -54,17 +54,18 @@ type vnet = {
   v_ids : vnet_ids;
   v_port : int;  (** This guest's address on the fabric. *)
   v_rx : (int * int) Overload.Bounded_queue.t;  (** (tag, len) *)
-  v_timeout : int64;  (** Rendezvous timeout on the data path. *)
-  v_ecn_delay : int64;  (** Sender pause after a marked reply. *)
   v_peers : (int, Sysif.tid) Hashtbl.t;  (** Resolved port -> gk tid. *)
   v_opened : (int, unit) Hashtbl.t;  (** Peers with the mapping set up. *)
   v_unknown : (int, unit) Hashtbl.t;  (** Negative lookup cache. *)
   mutable v_sent : int;
 }
 
-let vnet ~mach ~port ?(rx_capacity = 64)
-    ?(rx_policy = Overload.Bounded_queue.Reject) ?mark_at
-    ?(timeout = 2_000_000L) ?(ecn_delay = 100_000L) () =
+(* Rendezvous timeout on the data path, and the sender's pause after a
+   marked reply. *)
+let vnet_timeout = 2_000_000L
+let vnet_ecn_delay = 100_000L
+
+let vnet ~mach ~port ?mark_at () =
   if port < 1 then invalid_arg "Port_l4.vnet: port < 1";
   let c = mach.Machine.counters in
   {
@@ -79,10 +80,8 @@ let vnet ~mach ~port ?(rx_capacity = 64)
       };
     v_port = port;
     v_rx =
-      Overload.Bounded_queue.create ~policy:rx_policy ?mark_at
-        ~capacity:rx_capacity ();
-    v_timeout = timeout;
-    v_ecn_delay = ecn_delay;
+      Overload.Bounded_queue.create ~policy:Overload.Bounded_queue.Reject
+        ?mark_at ~capacity:64 ();
     v_peers = Hashtbl.create 8;
     v_opened = Hashtbl.create 8;
     v_unknown = Hashtbl.create 8;
@@ -223,7 +222,7 @@ let vnet_resolve st v dst =
 let vnet_open_peer v peer dst =
   if not (Hashtbl.mem v.v_opened dst) then begin
     match
-      Sysif.call ~timeout:v.v_timeout peer
+      Sysif.call ~timeout:vnet_timeout peer
         (Sysif.msg Proto.vnet_open
            ~items:[ Sysif.Map { fpage = Sysif.alloc_pages 1; grant = true } ])
     with
@@ -241,7 +240,7 @@ let vnet_send st v ~len ~tag peer =
   let counters = v.v_mach.Machine.counters in
   let once () =
     match
-      Sysif.call ~timeout:v.v_timeout peer
+      Sysif.call ~timeout:vnet_timeout peer
         (Sysif.msg Proto.vnet_pkt ~items:[ Sysif.Str { bytes = len; tag } ])
     with
     | _, r when r.Sysif.label = Proto.ok ->
@@ -251,7 +250,7 @@ let vnet_send st v ~len ~tag peer =
         if Array.length w > 0 && w.(0) = 1 then begin
           (* Receiver past its watermark: pace before it drops. *)
           Counter.incr_id counters v.v_ids.vi_ecn_backoff;
-          Sysif.sleep v.v_ecn_delay
+          Sysif.sleep vnet_ecn_delay
         end;
         Some (ok_reply ())
     | _, r when r.Sysif.label = Proto.busy -> None
@@ -282,7 +281,7 @@ let rec vnet_recv st v =
   match Overload.Bounded_queue.pop v.v_rx with
   | Some (tag, len) -> ok_reply ~items:[ Sysif.Str { bytes = len; tag } ] ()
   | None -> (
-      match Sysif.recv ~timeout:v.v_timeout Sysif.Any with
+      match Sysif.recv ~timeout:vnet_timeout Sysif.Any with
       | src, m when m.Sysif.label = Proto.vnet_pkt ->
           reply_safely src (vnet_accept v m);
           vnet_recv st v

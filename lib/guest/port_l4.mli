@@ -43,19 +43,15 @@ type vnet
 val vnet :
   mach:Vmk_hw.Machine.t ->
   port:int ->
-  ?rx_capacity:int ->
-  ?rx_policy:Vmk_overload.Overload.Bounded_queue.policy ->
   ?mark_at:int ->
-  ?timeout:int64 ->
-  ?ecn_delay:int64 ->
   unit ->
   vnet
 (** [port] is the guest's fabric address (≥ 1, see
-    {!Sys.vnet_tag}). The rx queue defaults to capacity 64, [Reject];
-    [mark_at] arms the ECN watermark — marked replies make senders
-    pause [ecn_delay] cycles (default 100K) before their next packet
-    (counters ["overload.ecn_mark"]/["overload.ecn_backoff"]).
-    [timeout] (default 2M cycles) bounds each data-path rendezvous.
+    {!Sys.vnet_tag}). The rx queue holds 64 packets and rejects beyond
+    that; [mark_at] arms the ECN watermark — marked replies make senders
+    pause 100K cycles before their next packet
+    (counters ["overload.ecn_mark"]/["overload.ecn_backoff"]). Each
+    data-path rendezvous times out after 2M cycles.
     @raise Invalid_argument if [port < 1]. *)
 
 val vnet_sent : vnet -> int

@@ -164,7 +164,7 @@ let handler st call =
       | Sys.G_exit -> Sys.G_unit
     end
 
-let run mach ?(nic_buffers = 16) app =
+let run mach app =
   Accounts.switch_to mach.Machine.accounts account;
   let st =
     {
@@ -185,6 +185,6 @@ let run mach ?(nic_buffers = 16) app =
     (Frame.alloc_many mach.Machine.frames ~owner:account 4);
   List.iter
     (fun f -> Nic.post_rx_buffer mach.Machine.nic f)
-    (Frame.alloc_many mach.Machine.frames ~owner:account nic_buffers);
+    (Frame.alloc_many mach.Machine.frames ~owner:account 16);
   Sys.run_with_handler ~handler:(handler st) app;
   Accounts.switch_to mach.Machine.accounts "idle"

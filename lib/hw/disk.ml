@@ -24,8 +24,6 @@ type t = {
   engine : Vmk_sim.Engine.t;
   irq_ctrl : Irq.t;
   irq_line : int;
-  base_latency : int64;
-  per_byte_c100 : int;
   store : (int, int) Hashtbl.t;
   done_queue : request Queue.t;
   mutable faults : fault list;
@@ -37,14 +35,15 @@ type t = {
   mutable dropped : int;
 }
 
-let create engine irq_ctrl ~irq_line ?(base_latency = 40_000L)
-    ?(per_byte_c100 = 800) () =
+(* A fast 2005 disk with cache: 40,000 cycles plus 8 cycles per byte. *)
+let base_latency = 40_000L
+let per_byte_c100 = 800
+
+let create engine irq_ctrl ~irq_line () =
   {
     engine;
     irq_ctrl;
     irq_line;
-    base_latency;
-    per_byte_c100;
     store = Hashtbl.create 256;
     done_queue = Queue.create ();
     faults = [];
@@ -85,7 +84,7 @@ let submit t op ~sector ~frame ~bytes =
   let verdict = fault_verdict t ~sector in
   t.in_flight <- t.in_flight + 1;
   let latency =
-    Int64.add t.base_latency (Int64.of_int (bytes * t.per_byte_c100 / 100))
+    Int64.add base_latency (Int64.of_int (bytes * per_byte_c100 / 100))
   in
   (match verdict with
   | Some Drop ->

@@ -1,8 +1,8 @@
 (** Block device model.
 
-    A simple latency-modelled disk: requests complete after
-    [base_latency + bytes·per_byte] cycles and raise the disk's interrupt
-    line. Sector contents are content tags (see {!Frame}), persisted in a
+    A simple latency-modelled disk: requests complete after 40,000
+    cycles plus 8 cycles per byte (a fast 2005 disk with cache) and raise
+    the disk's interrupt line. Sector contents are content tags (see {!Frame}), persisted in a
     sector store so reads after writes verify data integrity across the
     block stack (native driver, blkfront/blkback, Parallax, L4 driver
     server).
@@ -45,11 +45,8 @@ val create :
   Vmk_sim.Engine.t ->
   Irq.t ->
   irq_line:int ->
-  ?base_latency:int64 ->
-  ?per_byte_c100:int ->
   unit ->
   t
-(** Default latency: 40_000 cycles + 8 c/B (a fast 2005 disk with cache). *)
 
 val set_faults : t -> fault list -> unit
 (** Install the fault windows (replacing any previous set). A request is

@@ -18,7 +18,6 @@ type t = {
   engine : Vmk_sim.Engine.t;
   irq_ctrl : Irq.t;
   irq_line : int;
-  wire_delay : int64;
   rx_buffers : Frame.frame Queue.t;
   rx_queue : rx_event Queue.t;
   tx_queue : (Frame.frame * int) Queue.t;
@@ -40,12 +39,14 @@ type t = {
   mutable on_rx_drop : unit -> unit;
 }
 
-let create engine irq_ctrl ~irq_line ?(wire_delay = 2000L) () =
+(* Transmit completion latency, cycles. *)
+let wire_delay = 2000L
+
+let create engine irq_ctrl ~irq_line () =
   {
     engine;
     irq_ctrl;
     irq_line;
-    wire_delay;
     rx_buffers = Queue.create ();
     rx_queue = Queue.create ();
     tx_queue = Queue.create ();
@@ -150,7 +151,7 @@ let poll t ~budget =
 
 let submit_tx t frame ~len =
   t.tx_submitted <- t.tx_submitted + 1;
-  Vmk_sim.Engine.after t.engine t.wire_delay (fun () ->
+  Vmk_sim.Engine.after t.engine wire_delay (fun () ->
       Queue.add (frame, len) t.tx_queue;
       t.tx_completed <- t.tx_completed + 1;
       t.tx_bytes <- t.tx_bytes + len;

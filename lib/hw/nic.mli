@@ -49,10 +49,9 @@ type fault = {
   f_rng : Vmk_sim.Rng.t;  (** Dedicated stream for the coin flips. *)
 }
 
-val create :
-  Vmk_sim.Engine.t -> Irq.t -> irq_line:int -> ?wire_delay:int64 -> unit -> t
-(** A NIC raising [irq_line] on the given controller. [wire_delay] is the
-    transmit completion latency (default 2000 cycles). *)
+val create : Vmk_sim.Engine.t -> Irq.t -> irq_line:int -> unit -> t
+(** A NIC raising [irq_line] on the given controller. A transmission
+    completes 2000 cycles after submission. *)
 
 val irq_line : t -> int
 

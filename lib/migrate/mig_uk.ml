@@ -54,11 +54,9 @@ let task_prims ~sink =
   }
 
 let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
-    ?(cfg = Migrate.precopy ())
-    ?(link = Migrate.link ~page_cost:2_000 ~state_cost:4_000 ())
-    ?abort_at ?(plan = []) ?(start_after = 200_000L)
-    ?(seed = 53L) () =
-  let sends = Migrate.total_sends ~steps ~w in
+    ?(cfg = Migrate.precopy ()) ?abort_at ?(plan = []) () =
+  let seed = 53L in
+  let sends = Migrate.total_sends ~steps in
   (* --- source kernel --- *)
   let mach = Machine.create ~seed () in
   let k = Kernel.create mach in
@@ -79,7 +77,11 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
           ~until_step:steps;
         g_done := true)
   in
-  let session = Migrate.session ?abort_at ~link () in
+  let session =
+    Migrate.session ?abort_at
+      ~link:(Migrate.link ~page_cost:2_000 ~state_cost:4_000 ())
+      ()
+  in
   let outcome = ref None in
   let paused = ref false in
   let staged_handles = ref 0 in
@@ -121,7 +123,7 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
   let t_start = ref 0L and t_end = ref 0L in
   let _migd =
     Kernel.spawn k ~name:"migd" ~priority:1 (fun () ->
-        Sysif.sleep start_after;
+        Sysif.sleep 200_000L;
         (* Gate on progress so the migration catches the task mid-run. *)
         while not (!g_done || image.Image.step * 3 >= steps) do
           Sysif.sleep 20_000L

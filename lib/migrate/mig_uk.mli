@@ -22,11 +22,9 @@ val migrate :
   ?steps:int ->
   ?w:Migrate.Workload.t ->
   ?cfg:Migrate.config ->
-  ?link:Migrate.link ->
   ?abort_at:Migrate.phase * Migrate.abort_reason ->
   ?plan:Vmk_faults.Faults.plan ->
-  ?start_after:int64 ->
-  ?seed:int64 ->
   unit ->
   Migrate.result
-(** Same knobs and defaults as {!Mig_vmm.migrate} (seed 53). *)
+(** Same knobs and defaults as {!Mig_vmm.migrate}; the machine seed is
+    53. *)

@@ -79,11 +79,9 @@ let guest_prims front ~src =
   }
 
 let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
-    ?(cfg = Migrate.precopy ())
-    ?(link = Migrate.link ~page_cost:2_000 ~state_cost:4_000 ())
-    ?abort_at ?(plan = []) ?(start_after = 200_000L)
-    ?(seed = 97L) () =
-  let sends = Migrate.total_sends ~steps ~w in
+    ?(cfg = Migrate.precopy ()) ?abort_at ?(plan = []) () =
+  let seed = 97L in
+  let sends = Migrate.total_sends ~steps in
   (* --- source machine --- *)
   let mach = Machine.create ~seed () in
   let h = Hypervisor.create mach in
@@ -113,7 +111,11 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
         front_gen := Netfront.generation front;
         g_done := true)
   in
-  let session = Migrate.session ?abort_at ~link () in
+  let session =
+    Migrate.session ?abort_at
+      ~link:(Migrate.link ~page_cost:2_000 ~state_cost:4_000 ())
+      ()
+  in
   let staged_gen = ref 0 in
   let outcome = ref None in
   let paused = ref false in
@@ -155,7 +157,7 @@ let migrate ?(pages = 64) ?(steps = 400) ?(w = Workload.make ())
   let t_start = ref 0L and t_end = ref 0L in
   let _migd =
     Hypervisor.create_domain h ~name:"migd" ~privileged:true (fun () ->
-        ignore (Hcall.block ~timeout:start_after ());
+        ignore (Hcall.block ~timeout:200_000L ());
         (* Migrate a guest that is actually mid-run: frontend handshakes
            take a while, so gate on progress, not just time. *)
         wait (fun () -> !g_done || image.Image.step * 3 >= steps);
@@ -259,17 +261,15 @@ type handoff = {
   ho_storm_received : int;
 }
 
-let driver_handoff ~mode ?(storm = true) ?(packets = 48) ?(seed = 101L) () =
-  let mach = Machine.create ~seed () in
+let driver_handoff ~mode ?(packets = 48) () =
+  let mach = Machine.create ~seed:101L () in
   let h = Hypervisor.create mach in
   let chan_c = Net_channel.create ~mode:Net_channel.Flip ~demux_key:guest_key () in
   let chan_s = Net_channel.create ~mode:Net_channel.Flip ~demux_key:sink_key () in
   let chan_st =
     Net_channel.create ~mode:Net_channel.Flip ~demux_key:storm_key ()
   in
-  (* Only wire the storm channel when a storm guest will connect to it —
-     the bridge waits [connect_timeout] for every listed channel. *)
-  let chans = [ chan_c; chan_s ] @ if storm then [ chan_st ] else [] in
+  let chans = [ chan_c; chan_s; chan_st ] in
   let make_bridge ~generation () =
     (* The E17 fair gate, so the storm exhausts its own bucket at the
        switch instead of tail-dropping the client's packets out of the
@@ -310,25 +310,23 @@ let driver_handoff ~mode ?(storm = true) ?(packets = 48) ?(seed = 101L) () =
           end
         done)
   in
-  (if storm then
-     let _storm =
-       Hypervisor.create_domain h ~name:"storm" (fun () ->
-           let front = Netfront.connect chan_st ~backend:bridge0 () in
-           let sent = ref 0 in
-           while not !stop do
-             let tag =
-               Sys.vnet_tag ~src:storm_key ~dst:sink_key ~seq:(!sent mod 9999)
-             in
-             if Netfront.send front ~len:packet_len ~tag then incr sent
-             else begin
-               Netfront.pump front;
-               if Netfront.backend_dead front then
-                 ignore (Netfront.reconnect front ~timeout:20_000_000L ());
-               ignore (Hcall.block ~timeout:20_000L ())
-             end
-           done)
-     in
-     ());
+  let _storm =
+    Hypervisor.create_domain h ~name:"storm" (fun () ->
+        let front = Netfront.connect chan_st ~backend:bridge0 () in
+        let sent = ref 0 in
+        while not !stop do
+          let tag =
+            Sys.vnet_tag ~src:storm_key ~dst:sink_key ~seq:(!sent mod 9999)
+          in
+          if Netfront.send front ~len:packet_len ~tag then incr sent
+          else begin
+            Netfront.pump front;
+            if Netfront.backend_dead front then
+              ignore (Netfront.reconnect front ~timeout:20_000_000L ());
+            ignore (Hcall.block ~timeout:20_000L ())
+          end
+        done)
+  in
   let retries = ref 0 in
   let first_fail = ref None and first_recover = ref None in
   let sent = ref 0 and client_done = ref false in

@@ -24,16 +24,14 @@ val migrate :
   ?steps:int ->
   ?w:Migrate.Workload.t ->
   ?cfg:Migrate.config ->
-  ?link:Migrate.link ->
   ?abort_at:Migrate.phase * Migrate.abort_reason ->
   ?plan:Vmk_faults.Faults.plan ->
-  ?start_after:int64 ->
-  ?seed:int64 ->
   unit ->
   Migrate.result
 (** One migration attempt. Defaults: 64 pages, 400 steps, the default
-    workload, {!Migrate.precopy}, no injection, daemon start after 200K
-    cycles, seed 97. [plan] is armed on the source machine with
+    workload, {!Migrate.precopy}, no injection. The migration daemon
+    starts after 200K cycles and pays 2,000 cycles per page and 4,000
+    per state message; the machine seed is 97. [plan] is armed on the source machine with
     {!Migrate.inject} as the [migration] callback (plus a kill hook for
     ["guest"]), so time-based [Mig_fault] events drive the same abort
     machinery as [abort_at]. *)
@@ -55,14 +53,12 @@ type handoff = {
 
 val driver_handoff :
   mode:[ `Planned | `Crash ] ->
-  ?storm:bool ->
   ?packets:int ->
-  ?seed:int64 ->
   unit ->
   handoff
 (** Migrate the bridge driver domain in place while a client streams
-    packets through it (optionally under a packet storm from a third
-    guest — the E14 overload condition). [`Planned]: the toolstack
+    packets through it under a packet storm from a third guest — the
+    E14 overload condition. [`Planned]: the toolstack
     builds the generation [n+1] incarnation {e first}, then destroys
     the old one, so frontends reconnect into a waiting backend.
     [`Crash]: the old incarnation is destroyed first and the

@@ -26,13 +26,15 @@ end
 (* --- the deterministic guest workload --- *)
 
 module Workload = struct
-  type t = { hot : int; cold_every : int; send_every : int; step_cost : int }
+  type t = { hot : int; cold_every : int }
 
-  let make ?(hot = 4) ?(cold_every = 16) ?(send_every = 8)
-      ?(step_cost = 2_000) () =
-    if hot < 1 || cold_every < 1 || send_every < 1 || step_cost < 1 then
+  let send_every = 8
+  let step_cost = 2_000
+
+  let make ?(hot = 4) ?(cold_every = 16) () =
+    if hot < 1 || cold_every < 1 then
       invalid_arg "Workload.make: non-positive field";
-    { hot; cold_every; send_every; step_cost }
+    { hot; cold_every }
 
   (* Stamp update: any deterministic mixing works; this keeps stamps
      positive and sensitive to both the old stamp and the step. *)
@@ -55,10 +57,10 @@ module Workload = struct
     (if s mod w.cold_every = 0 && n > hot then
        write (hot + (s / w.cold_every mod (n - hot))));
     img.Image.step <- s + 1;
-    (!written, (s + 1) mod w.send_every = 0)
+    (!written, (s + 1) mod send_every = 0)
 end
 
-let total_sends ~steps ~(w : Workload.t) = steps / w.Workload.send_every
+let total_sends ~steps = steps / Workload.send_every
 
 (* --- running a guest around an image --- *)
 
@@ -91,7 +93,7 @@ let guest_run ~image ~w ~prims ~q ~until_step =
     else begin
       let written, send = Workload.advance image w in
       List.iter (fun vpn -> prims.g_touch ~vpn ~write:true) written;
-      prims.g_burn w.Workload.step_cost;
+      prims.g_burn Workload.step_cost;
       if send then begin
         let seq = image.Image.sent in
         while not (prims.g_send ~seq) do

@@ -58,15 +58,12 @@ module Workload : sig
   type t = {
     hot : int;  (** Pages 0..hot-1 are rewritten every step. *)
     cold_every : int;  (** One cold page is rewritten every [cold_every] steps. *)
-    send_every : int;  (** A packet is sent every [send_every] steps. *)
-    step_cost : int;  (** Guest cycles burned per step. *)
   }
 
-  val make :
-    ?hot:int -> ?cold_every:int -> ?send_every:int -> ?step_cost:int ->
-    unit -> t
-  (** Defaults: [hot = 4], [cold_every = 16], [send_every = 8],
-      [step_cost = 2_000]. The steady-state dirty rate is roughly
+  val make : ?hot:int -> ?cold_every:int -> unit -> t
+  (** Defaults: [hot = 4], [cold_every = 16]. Every step burns 2,000
+      guest cycles, and every 8th step sends a packet. The steady-state
+      dirty rate is roughly
       [hot + round_span / cold_every] pages per harvest — [hot] is the
       knob the E20 sweep turns.
       @raise Invalid_argument on non-positive fields. *)
@@ -78,7 +75,7 @@ module Workload : sig
       steps from the same image always produces the same states. *)
 end
 
-val total_sends : steps:int -> w:Workload.t -> int
+val total_sends : steps:int -> int
 (** Packets a [steps]-step run of the workload emits. *)
 
 (** {1 Running a guest around an image} *)

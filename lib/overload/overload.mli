@@ -160,7 +160,7 @@ module Weighted_buckets : sig
 end
 
 (** Client retry schedule: exponential backoff with seeded jitter.
-    Attempt [n] waits [min (base·factor^n) cap + jitter_n] cycles where
+    Attempt [n] waits [min (base·2^n) cap + jitter_n] cycles where
     [jitter_n] is a fresh draw in [\[0, jitter)] from the stream given at
     create time — deterministic per (seed, call sequence). *)
 module Backoff : sig
@@ -169,13 +169,11 @@ module Backoff : sig
   val create :
     ?attempts:int ->
     ?base:int64 ->
-    ?factor:int ->
     ?cap:int64 ->
     ?jitter:int ->
     Vmk_sim.Rng.t ->
     t
-  (** Defaults: 5 attempts, base 100k cycles, factor 2, cap 3.2M,
-      jitter 1000. Split the machine RNG for the stream. *)
+  (** Defaults: 5 attempts, base 100k cycles, cap 3.2M, jitter 1000. Split the machine RNG for the stream. *)
 
   val delay : t -> attempt:int -> int64
   (** Delay before retrying after failed attempt [attempt] (0-based).

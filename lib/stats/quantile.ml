@@ -10,25 +10,24 @@
    and still report global p50/p99/p999. *)
 
 module Sketch = struct
+  (* Subbucket (mantissa) bits: relative error <= 2^-bits. *)
+  let bits = 7
+
   type t = {
-    bits : int; (* subbucket (mantissa) bits: relative error <= 2^-bits *)
     counts : int array;
     mutable count : int;
     mutable min : int;
     mutable max : int;
   }
 
-  let nbuckets bits =
-    (* Values below 2^bits get exact unit buckets; above, each power-of-two
-       decade [2^p, 2^(p+1)) splits into 2^bits subbuckets. p ranges up to
-       62 on a 63-bit native int, so (64 - bits) decades cover everything. *)
-    (64 - bits) lsl bits
+  (* Values below 2^bits get exact unit buckets; above, each power-of-two
+     decade [2^p, 2^(p+1)) splits into 2^bits subbuckets. p ranges up to 62
+     on a 63-bit native int, so (64 - bits) decades cover everything. *)
+  let nbuckets = (64 - bits) lsl bits
 
-  let create ?(bits = 7) () =
-    if bits < 1 || bits > 20 then invalid_arg "Quantile.Sketch.create: bits";
+  let create () =
     {
-      bits;
-      counts = Array.make (nbuckets bits) 0;
+      counts = Array.make nbuckets 0;
       count = 0;
       min = max_int;
       max = 0;
@@ -45,24 +44,24 @@ module Sketch = struct
     if !v lsr 1 <> 0 then p := !p + 1;
     !p
 
-  let[@inline] index t v =
-    if v < 1 lsl t.bits then v
+  let[@inline] index v =
+    if v < 1 lsl bits then v
     else
-      let shift = msb v - t.bits in
-      ((shift + 1) lsl t.bits) + ((v lsr shift) - (1 lsl t.bits))
+      let shift = msb v - bits in
+      ((shift + 1) lsl bits) + ((v lsr shift) - (1 lsl bits))
 
   (* Midpoint representative of bucket [i]; exact for the unit buckets. *)
-  let repr t i =
-    if i < 1 lsl t.bits then i
+  let repr i =
+    if i < 1 lsl bits then i
     else
-      let shift = (i lsr t.bits) - 1 in
-      let mant = i land ((1 lsl t.bits) - 1) in
-      let lo = ((1 lsl t.bits) + mant) lsl shift in
+      let shift = (i lsr bits) - 1 in
+      let mant = i land ((1 lsl bits) - 1) in
+      let lo = ((1 lsl bits) + mant) lsl shift in
       lo + ((1 lsl shift) / 2)
 
   let add t v =
     if v < 0 then invalid_arg "Quantile.Sketch.add: negative sample";
-    t.counts.(index t v) <- t.counts.(index t v) + 1;
+    t.counts.(index v) <- t.counts.(index v) + 1;
     t.count <- t.count + 1;
     if v < t.min then t.min <- v;
     if v > t.max then t.max <- v
@@ -94,14 +93,12 @@ module Sketch = struct
            incr i
          done
        with Exit -> ());
-      let v = repr t !found in
+      let v = repr !found in
       let v = if v < t.min then t.min else if v > t.max then t.max else v in
       float_of_int v
     end
 
   let merge_into ~into src =
-    if into.bits <> src.bits then
-      invalid_arg "Quantile.Sketch.merge_into: bits mismatch";
     Array.iteri
       (fun i c -> if c > 0 then into.counts.(i) <- into.counts.(i) + c)
       src.counts;
@@ -112,7 +109,7 @@ module Sketch = struct
     end
 
   let fingerprint t =
-    let h = ref (Hashtbl.hash (t.bits, t.count, t.min, t.max)) in
+    let h = ref (Hashtbl.hash (bits, t.count, t.min, t.max)) in
     Array.iteri
       (fun i c -> if c > 0 then h := Hashtbl.hash (!h, i, c))
       t.counts;

@@ -3,17 +3,17 @@
 
 module Sketch : sig
   (** Log-linear bucket sketch over non-negative integer samples with
-      bounded relative error [2^-bits] and {e exact} mergeability:
+      bounded relative error [2^-7] and {e exact} mergeability:
       merging per-shard sketches is elementwise bucket addition, so the
       merged sketch is bit-identical to a single sketch fed the
       concatenated stream in any order. *)
 
   type t
 
-  val create : ?bits:int -> unit -> t
-  (** [create ?bits ()] — [bits] (default 7) is the subbucket mantissa
-      width; quantile estimates are within relative error [2^-bits].
-      Values below [2^bits] are stored exactly. *)
+  val create : unit -> t
+  (** An empty sketch with 7 subbucket mantissa bits: quantile estimates
+      are within relative error [2^-7]. Values below [2^7] are stored
+      exactly. *)
 
   val add : t -> int -> unit
   (** O(1), allocation-free. Raises [Invalid_argument] on negatives. *)
@@ -28,7 +28,7 @@ module Sketch : sig
       Returns [0.0] on an empty sketch. *)
 
   val merge_into : into:t -> t -> unit
-  (** Elementwise bucket addition; raises on [bits] mismatch. *)
+  (** Elementwise bucket addition. *)
 
   val fingerprint : t -> int
   (** Deterministic digest of the full bucket state, for bit-for-bit

@@ -13,10 +13,10 @@ type inflight = { client : Sysif.tid; frame : Frame.frame; read : bool }
 let reply_safely dst m =
   try Sysif.send dst m with Sysif.Ipc_error _ -> ()
 
-let body mach ?(buffers = 8) ?admit () =
+let body mach () =
   let disk = mach.Machine.disk in
   let free = Queue.create () in
-  for _ = 1 to buffers do
+  for _ = 1 to 8 do
     Queue.add
       (Frame.alloc mach.Machine.frames ~owner:account
          ~kind:Frame.Device_buffer ())
@@ -75,20 +75,6 @@ let body mach ?(buffers = 8) ?admit () =
   in
   let handle_client client (m : Sysif.msg) =
     if m.Sysif.label = Proto.ping then reply_safely client (Sysif.msg Proto.ok)
-    else if
-      match admit with
-      | None -> false
-      | Some bucket ->
-          not
-            (Overload.Token_bucket.admit bucket
-               ~now:(Engine.now mach.Machine.engine))
-    then begin
-      (* Admission denied: shed before touching the request (E15). *)
-      Sysif.burn 60;
-      Counter.incr mach.Machine.counters "drv.blk.shed";
-      Counter.incr mach.Machine.counters Overload.shed_counter;
-      reply_safely client (Sysif.msg Proto.busy)
-    end
     else if not (session_ok client) then begin
       Counter.incr mach.Machine.counters "drv.blk.denied";
       reply_safely client (Sysif.msg Proto.error)

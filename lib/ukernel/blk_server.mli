@@ -5,18 +5,11 @@
     Clients block in their [Call] until the disk completes, so killing
     this server (experiment E6) errors out exactly its in-flight clients. *)
 
-val body :
-  Vmk_hw.Machine.t ->
-  ?buffers:int ->
-  ?admit:Vmk_overload.Overload.Token_bucket.t ->
-  unit ->
-  unit
-(** Server loop; spawn with {!Kernel.spawn}. [buffers] bounds concurrent
-    in-flight requests (default 8); beyond it requests are answered with
-    {!Proto.busy} — transient exhaustion, retryable with backoff —
-    while a media error stays {!Proto.error}. [admit] adds a
-    token-bucket admission gate that sheds requests before any setup
-    work (counters ["drv.blk.shed"], ["overload.shed"]; E15). *)
+val body : Vmk_hw.Machine.t -> unit -> unit
+(** Server loop; spawn with {!Kernel.spawn}. At most 8 requests are in
+    flight; beyond that requests are answered with {!Proto.busy} —
+    transient exhaustion, retryable with backoff — while a media error
+    stays {!Proto.error}. *)
 
 val account : string
 (** ["drv.blk"]. *)

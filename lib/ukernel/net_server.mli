@@ -11,27 +11,23 @@
 
 val body :
   Vmk_hw.Machine.t ->
-  ?rx_buffers:int ->
   ?admit:Vmk_overload.Overload.Token_bucket.t ->
   ?fair:Vmk_overload.Overload.Weighted_buckets.t ->
   ?rx_capacity:int ->
-  ?rx_policy:Vmk_overload.Overload.Bounded_queue.policy ->
   ?napi:int ->
   ?poll:int64 ->
   ?vnet:bool ->
-  ?vnet_flow_capacity:int ->
   unit ->
   unit
-(** Server loop; spawn with {!Kernel.spawn}. Posts [rx_buffers] (default
-    16) receive buffers and keeps the NIC topped up.
+(** Server loop; spawn with {!Kernel.spawn}. Posts 16 receive buffers
+    and keeps the NIC topped up.
 
     Overload policy (E15): [admit] installs a token-bucket gate on the
     receive path — packets beyond the rate are shed before the expensive
     per-packet work (counters ["drv.net.rx_shed"], ["overload.shed"]).
     [rx_capacity] bounds the received-packet queue (default unbounded —
-    the naive configuration that livelocks); overflow follows
-    [rx_policy] (default drop-oldest; counters ["drv.net.rx_drop"],
-    ["overload.drop"]). A [net_send] finding no free transmit buffer
+    the naive configuration that livelocks); overflow drops the oldest
+    packet (counters ["drv.net.rx_drop"], ["overload.drop"]). A [net_send] finding no free transmit buffer
     answers {!Proto.busy} (retryable) rather than {!Proto.error}.
 
     Interrupt mitigation (E16): [napi] switches the interrupt path to
@@ -51,7 +47,7 @@ val body :
     Vnet broker (E17): [vnet] makes the server the connection broker of
     the L4 inter-guest path. Guest kernels register with
     {!Proto.vnet_attach} and resolve peers with {!Proto.vnet_lookup}
-    (flow-cache → MAC-table, capacity [vnet_flow_capacity], costs
+    (flow-cache of 64 entries → MAC-table, costs
     itemized under ["vnet.flow_hit"]/["vnet.flow_miss"]); the data path
     then runs as direct guest-to-guest IPC, never touching this
     server. *)

@@ -14,17 +14,11 @@ type t = {
 
 let next_key = ref 0
 
-let create ?(ring_size = 32) ?key () =
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        incr next_key;
-        Printf.sprintf "device/blk/%d" !next_key
-  in
+let create () =
+  incr next_key;
   {
-    ring = Ring.create ~capacity:ring_size ();
-    key;
+    ring = Ring.create ~capacity:32 ();
+    key = Printf.sprintf "device/blk/%d" !next_key;
     front_dom = None;
     offer_port = None;
     front_port = None;

@@ -21,8 +21,7 @@ type t = {
   mutable back_port : Hcall.port option;
 }
 
-val create : ?ring_size:int -> ?key:string -> unit -> t
-(** Default ring size 32 slots; [key] defaults to a fresh
-    ["device/blk/<n>"] name. *)
+val create : unit -> t
+(** A 32-slot ring under a fresh ["device/blk/<n>"] key. *)
 
 val ring_cost : int

@@ -14,7 +14,7 @@ type t = {
   mutable dead : bool;
 }
 
-let connect chan ~backend ?(arch = Arch.default) ?(buffers = 8) () =
+let connect chan ~backend ?(arch = Arch.default) () =
   let my_dom = Hcall.dom_id () in
   chan.Blk_channel.front_dom <- Some my_dom;
   let offer = Hcall.evtchn_alloc_unbound backend in
@@ -37,7 +37,7 @@ let connect chan ~backend ?(arch = Arch.default) ?(buffers = 8) () =
       dead = false;
     }
   in
-  List.iter (fun f -> Queue.add f t.free) (Hcall.alloc_frames buffers);
+  List.iter (fun f -> Queue.add f t.free) (Hcall.alloc_frames 8);
   (* Wait for the backend to bind before returning, so the first request's
      notification cannot hit an unbound port. *)
   ignore (Hcall.xs_wait_for (key ^ "/backend-port"));

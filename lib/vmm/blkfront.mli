@@ -12,11 +12,9 @@ val connect :
   Blk_channel.t ->
   backend:Hcall.domid ->
   ?arch:Vmk_hw.Arch.profile ->
-  ?buffers:int ->
   unit ->
   t
-(** Frontend half of the handshake; [buffers] bounds in-flight requests
-    (default 8). *)
+(** Frontend half of the handshake; at most 8 requests are in flight. *)
 
 val port : t -> Hcall.port
 val pump : t -> unit

@@ -11,13 +11,13 @@ let name = "bridge"
 let tag_dst tag = tag / 1_000_000
 let tag_src tag = tag mod 1_000_000 / 10_000
 
-let body mach ?connect_timeout ?generation ?net_admit ?fair ?mac_ttl
-    ?(flow_capacity = 64) ?(port_capacity = 64) ?mark_at ?(net = []) () =
+let body mach ?connect_timeout ?generation ?fair ?port_capacity ?mark_at
+    ?(net = []) () =
   let mux = Evt_mux.create () in
   let now () = Engine.now mach.Machine.engine in
   let switch =
     Vnet.Switch.create ~counters:mach.Machine.counters ~burn:Hcall.burn
-      ?mac_ttl ~flow_capacity ~port_capacity ?mark_at ?fair ()
+      ?port_capacity ?mark_at ?fair ()
   in
   let dropped chan_key =
     Logs.warn (fun m ->
@@ -30,7 +30,7 @@ let body mach ?connect_timeout ?generation ?net_admit ?fair ?mac_ttl
       (fun chan ->
         match
           Netback.connect_opt ?timeout:connect_timeout ?generation
-            ?admit:net_admit ~attach_nic:false chan mach ()
+            ~attach_nic:false chan mach ()
         with
         | Some back -> Some back
         | None -> dropped chan.Net_channel.key)

@@ -23,10 +23,7 @@ val body :
   Vmk_hw.Machine.t ->
   ?connect_timeout:int64 ->
   ?generation:int ->
-  ?net_admit:Vmk_overload.Overload.Token_bucket.t ->
   ?fair:Vmk_overload.Overload.Weighted_buckets.t ->
-  ?mac_ttl:int64 ->
-  ?flow_capacity:int ->
   ?port_capacity:int ->
   ?mark_at:int ->
   ?net:Net_channel.t list ->
@@ -37,5 +34,5 @@ val body :
     frontend's demux key as a switch port, then serve events forever.
     [fair] installs per-sender weighted admission at the switch gate;
     [mark_at] arms the ECN watermark on every port queue;
-    [net_admit] is the per-backend token-bucket gate (E15). Never
+    [port_capacity] sizes each port queue (default 64). Never
     returns; run it under the scenario's engine like {!Dom0.body}. *)

@@ -23,12 +23,12 @@ type t = {
   mutable demux_key : int;
 }
 
-let create ~mode ?(ring_size = 64) ~demux_key () =
+let create ~mode ~demux_key () =
   {
     mode;
     key = Printf.sprintf "device/net/%d" demux_key;
-    tx_ring = Ring.create ~capacity:ring_size ();
-    rx_ring = Ring.create ~capacity:ring_size ();
+    tx_ring = Ring.create ~capacity:64 ();
+    rx_ring = Ring.create ~capacity:64 ();
     front_dom = None;
     offer_port = None;
     front_port = None;

@@ -43,8 +43,8 @@ type t = {
           frontend (the MAC address of the model). *)
 }
 
-val create : mode:rx_mode -> ?ring_size:int -> demux_key:int -> unit -> t
-(** Default ring size 64 slots, Xen-like. *)
+val create : mode:rx_mode -> demux_key:int -> unit -> t
+(** Two 64-slot rings, Xen-like. *)
 
 val ring_cost : int
 (** Cycles a producer/consumer burns per ring slot access. *)

@@ -21,15 +21,14 @@ val connect_opt :
   ?attach_nic:bool ->
   Net_channel.t ->
   Vmk_hw.Machine.t ->
-  ?nic_buffers:int ->
   unit ->
   t option
 (** Backend half of the handshake. Waits (yielding) until the frontend
     has published its port, then binds, collects the frontend's initial
-    buffer posts and stocks the NIC with [nic_buffers] receive buffers
-    (default 16). [admit] installs a token-bucket admission gate on the
-    receive path: packets beyond the rate are shed cheaply before the
-    per-packet delivery work — the receive-livelock defense (E15).
+    buffer posts and stocks the NIC with 16 receive buffers. [admit]
+    installs a token-bucket admission gate on the receive path: packets
+    beyond the rate are shed cheaply before the per-packet delivery work
+    — the receive-livelock defense (E15).
 
     [napi] switches {!handle_nic} to NAPI-style hybrid service (E16): the
     first interrupt masks the NIC line, then poll rounds each drain up to

@@ -52,7 +52,10 @@ let post_rx_buffer t frame =
                  (Net_channel.Rx_post_copy { rx_gref = gref }))
           then unpost t gref)
 
-let connect chan ~backend ?(arch = Arch.default) ?(rx_buffers = 32) () =
+(* Receive buffers a frontend posts at each (re)connect. *)
+let rx_buffers = 32
+
+let connect chan ~backend ?(arch = Arch.default) () =
   let my_dom = Hcall.dom_id () in
   chan.Net_channel.front_dom <- Some my_dom;
   let offer = Hcall.evtchn_alloc_unbound backend in
@@ -94,14 +97,14 @@ let connect chan ~backend ?(arch = Arch.default) ?(rx_buffers = 32) () =
    [key/gen]. Transmit frames come from the destination's reservation;
    in-flight ring state never survives migration (exactly-once delivery
    is the application's sequence numbers, as with any reconnect). *)
-let restore chan ~generation ?(arch = Arch.default) () =
+let restore chan ~generation () =
   let t =
     {
       chan;
       backend = -1;
       my_port = -1;
       generation;
-      arch;
+      arch = Arch.default;
       tx_free = Queue.create ();
       tx_inflight = Hashtbl.create 16;
       rx_grants = Hashtbl.create 32;
@@ -239,7 +242,7 @@ let probe t =
   end;
   t.dead
 
-let reconnect t ?timeout ?(rx_buffers = 32) () =
+let reconnect t ?timeout () =
   let key = t.chan.Net_channel.key in
   let rec drain : 'a. (unit -> 'a option) -> unit =
    fun pop -> match pop () with Some _ -> drain pop | None -> ()

@@ -14,19 +14,17 @@ val connect :
   Net_channel.t ->
   backend:Hcall.domid ->
   ?arch:Vmk_hw.Arch.profile ->
-  ?rx_buffers:int ->
   unit ->
   t
 (** Perform the frontend half of the handshake (publishes the unbound
-    port, pre-posts [rx_buffers] receive buffers — default 32). Must be
+    port, pre-posts 32 receive buffers). Must be
     called from the guest fiber before the backend connects. [arch]
     prices the guest-side packet copies (default {!Vmk_hw.Arch.default});
     pass the machine's profile on other platforms. *)
 
-val restore :
-  Net_channel.t -> generation:int -> ?arch:Vmk_hw.Arch.profile -> unit -> t
+val restore : Net_channel.t -> generation:int -> unit -> t
 (** Rebuild a frontend from migrated state on the destination machine
-    (E20). The returned handle starts {!backend_dead} — the source's
+    (E20), pricing packet copies at {!Vmk_hw.Arch.default}. The returned handle starts {!backend_dead} — the source's
     backend is gone — with the source's [generation], so the normal
     {!reconnect} path performs the handshake against the destination
     backend once it publishes a higher [key/gen]. Allocates fresh
@@ -82,8 +80,8 @@ val probe : t -> bool
 (** Liveness check via a spurious notification; returns the new
     {!backend_dead}. *)
 
-val reconnect : t -> ?timeout:int64 -> ?rx_buffers:int -> unit -> bool
+val reconnect : t -> ?timeout:int64 -> unit -> bool
 (** Recover against a restarted backend domain: drop state shared with
     the corpse, wait for [key/gen] above our own, redo the handshake
-    under [key/g<n>/] and re-post [rx_buffers] fresh receive buffers.
+    under [key/g<n>/] and re-post 32 fresh receive buffers.
     [false] on timeout. After [true], re-register {!port} on the mux. *)

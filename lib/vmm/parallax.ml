@@ -19,7 +19,7 @@ type pending = {
 let body mach ~clients ~upstream ~dom0 () =
   let mux = Evt_mux.create () in
   let arch = mach.Machine.arch in
-  let front = Blkfront.connect upstream ~backend:dom0 ~arch ~buffers:8 () in
+  let front = Blkfront.connect upstream ~backend:dom0 ~arch () in
   Evt_mux.on mux (Blkfront.port front) (fun () -> Blkfront.pump front);
   (* Event handlers only enqueue; the main loop serves strictly FIFO so
      concurrent clients get fair service (nested dispatch during an

@@ -491,7 +491,6 @@ module Switch = struct
     mac : Mac_table.t;
     flows : Flow_cache.t;
     port_capacity : int;
-    port_policy : Overload.Bounded_queue.policy;
     mark_at : int;  (* capacity + 1 = never marks *)
     fair : Overload.Weighted_buckets.t option;
     mutable by_id : port option array;  (* dense port table *)
@@ -501,9 +500,8 @@ module Switch = struct
 
   let no_burn (_ : int) = ()
 
-  let create ?counters ?(burn = no_burn) ?(mac_ttl = 1_000_000_000L)
-      ?(flow_capacity = 64) ?(port_capacity = 64)
-      ?(port_policy = Overload.Bounded_queue.Reject) ?mark_at ?fair () =
+  let create ?counters ?(burn = no_burn) ?(flow_capacity = 64)
+      ?(port_capacity = 64) ?mark_at ?fair () =
     if port_capacity < 1 then invalid_arg "Switch.create: port_capacity < 1";
     (match mark_at with
     | Some m when m < 1 -> invalid_arg "Switch.create: mark_at < 1"
@@ -522,10 +520,9 @@ module Switch = struct
       id_ecn_mark = cid Overload.ecn_mark_counter;
       burn;
       has_burn = burn != no_burn;
-      mac = Mac_table.create ~ttl:mac_ttl ();
+      mac = Mac_table.create ();
       flows = Flow_cache.create ~capacity:flow_capacity ();
       port_capacity;
-      port_policy;
       mark_at = Option.value mark_at ~default:(port_capacity + 1);
       fair;
       by_id = Array.make 16 None;
@@ -607,22 +604,12 @@ module Switch = struct
       port.q_count <- port.q_count + 1;
       true
     end
-    else
-      match t.port_policy with
-      | Overload.Bounded_queue.Drop_oldest ->
-          port.q_head <-
-            (if port.q_head + 1 >= q_slots port then 0 else port.q_head + 1);
-          q_store port ~at:(port.q_head + port.q_count - 1) ~src ~dst ~len ~tag;
-              t.dropped <- t.dropped + 1;
-          note t t.id_drop;
-          note t t.id_overload_drop;
-          true
-      | Overload.Bounded_queue.Reject
-      | Overload.Bounded_queue.Block_with_deadline _ ->
-          t.dropped <- t.dropped + 1;
-          note t t.id_drop;
-          note t t.id_overload_drop;
-          false
+    else begin
+      t.dropped <- t.dropped + 1;
+      note t t.id_drop;
+      note t t.id_overload_drop;
+      false
+    end
 
   (* One forwarding decision: learn the source, admit (fair-share,
      keyed on the in-port), resolve via flow cache then MAC table,

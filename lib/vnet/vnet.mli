@@ -103,10 +103,8 @@ module Switch : sig
   val create :
     ?counters:Vmk_trace.Counter.set ->
     ?burn:(int -> unit) ->
-    ?mac_ttl:int64 ->
     ?flow_capacity:int ->
     ?port_capacity:int ->
-    ?port_policy:Vmk_overload.Overload.Bounded_queue.policy ->
     ?mark_at:int ->
     ?fair:Vmk_overload.Overload.Weighted_buckets.t ->
     unit ->
@@ -115,7 +113,8 @@ module Switch : sig
       (default: free — unit tests). [fair] installs per-source-port
       weighted admission at the gate, before any lookup work.
       [mark_at] arms the ECN watermark on every port queue. Port
-      queues default to capacity 64, {!Vmk_overload.Overload.Bounded_queue.Reject}. *)
+      queues default to capacity 64 and reject packets beyond it. The
+      MAC table ages entries out after 10⁹ cycles. *)
 
   val add_port : t -> id:int -> int
   (** Register a port (a guest's attachment point). Returns [id].
