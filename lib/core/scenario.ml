@@ -54,14 +54,8 @@ let outcome_of mach ~completed =
     icache_miss_cycles = Vmk_hw.Cache.miss_cycles mach.Machine.icache;
   }
 
-let run_native ?arch ?seed ?traffic ~app () =
-  let mach = Machine.create ?arch ?seed () in
-  let _source =
-    Option.map
-      (fun spec ->
-        spec mach ~gate:(fun () -> Nic.rx_buffers_posted mach.Machine.nic > 0))
-      traffic
-  in
+let run_native ~app () =
+  let mach = Machine.create () in
   let completed = ref false in
   Port_native.run mach (fun () ->
       app ();
@@ -103,8 +97,8 @@ let run_xen ?arch ?seed ?(rx_mode = Net_channel.Flip) ?(net = true) ?(blk = true
   ignore (Hypervisor.run h ~max_dispatches:100_000);
   outcome_of mach ~completed:!completed
 
-let run_l4 ?arch ?seed ?(net = true) ?(blk = true) ?traffic ~app () =
-  let mach = Machine.create ?arch ?seed () in
+let run_l4 ?seed ?(net = true) ?(blk = true) ?traffic ~app () =
+  let mach = Machine.create ?seed () in
   let k = Kernel.create mach in
   let net_tid =
     if net then

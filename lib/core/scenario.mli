@@ -25,13 +25,7 @@ type traffic_spec =
 val account_cycles : outcome -> string -> int64
 val counter : outcome -> string -> int
 
-val run_native :
-  ?arch:Vmk_hw.Arch.profile ->
-  ?seed:int64 ->
-  ?traffic:traffic_spec ->
-  app:(unit -> unit) ->
-  unit ->
-  outcome
+val run_native : app:(unit -> unit) -> unit -> outcome
 (** Mini-OS directly on the machine ({!Vmk_guest.Port_native}). *)
 
 val run_xen :
@@ -51,7 +45,6 @@ val run_xen :
     page-flip receive, trap-gate shortcut registered, no TLS. *)
 
 val run_l4 :
-  ?arch:Vmk_hw.Arch.profile ->
   ?seed:int64 ->
   ?net:bool ->
   ?blk:bool ->

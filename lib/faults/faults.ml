@@ -227,9 +227,8 @@ let first_kill_time t target =
    time, in plan order — the draw sequence is a pure function of
    (machine seed, plan). *)
 let arm ?(pressure = fun (_ : pressure) -> ())
-    ?(migration = fun (_ : mig_action) -> ()) ?horizon ?targets plan mach
-    ~kill =
-  validate ?horizon ?targets plan;
+    ?(migration = fun (_ : mig_action) -> ()) plan mach ~kill =
+  validate plan;
   let engine = mach.Machine.engine in
   let armed = { plan; kills_fired = []; handles = [] } in
   let schedule at f =

@@ -102,8 +102,6 @@ type armed = {
 val arm :
   ?pressure:(pressure -> unit) ->
   ?migration:(mig_action -> unit) ->
-  ?horizon:int64 ->
-  ?targets:string list ->
   plan ->
   Vmk_hw.Machine.t ->
   kill:(string -> unit) ->
@@ -111,8 +109,8 @@ val arm :
 (** Install the plan: set the device fault windows and schedule storms,
     kills, memory pressure and migration faults on the machine's engine.
     Counters: ["faults.irq_storm"], ["faults.kill"],
-    ["faults.mem_pressure"], ["faults.mig_fault"]. [pressure] and [migration] default to no-ops;
-    [horizon] and [targets] are passed through to {!validate}.
+    ["faults.mem_pressure"], ["faults.mig_fault"]. [pressure] and
+    [migration] default to no-ops.
     @raise Invalid_plan if the plan fails {!validate}. *)
 
 val disarm : armed -> Vmk_hw.Machine.t -> unit

@@ -42,7 +42,7 @@ let alloc t ~owner ?(kind = Ram) () =
       f.allocated <- true;
       f
 
-let alloc_many t ~owner ?kind n = List.init n (fun _ -> alloc t ~owner ?kind ())
+let alloc_many t ~owner n = List.init n (fun _ -> alloc t ~owner ())
 
 let release t f =
   if not f.allocated then invalid_arg "Frame.release: frame already free";

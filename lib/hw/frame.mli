@@ -40,7 +40,7 @@ val alloc : t -> owner:string -> ?kind:kind -> unit -> frame
 
     @raise Out_of_frames when exhausted. *)
 
-val alloc_many : t -> owner:string -> ?kind:kind -> int -> frame list
+val alloc_many : t -> owner:string -> int -> frame list
 
 val release : t -> frame -> unit
 (** Return a frame to the free list (tag cleared).

@@ -84,8 +84,7 @@ type mstate =
 
 type tcb = {
   tid : int;
-  name : string;
-  account : string;
+  name : string;  (** Also the thread's cycle account. *)
   asid : int;
   mutable state : mstate;
   fiber : Fiber.t;
@@ -137,8 +136,7 @@ let ready t tcb reply =
       tcb.state <- Ready;
       enqueue t tcb
 
-let spawn t ~name ?account body =
-  let account = Option.value account ~default:name in
+let spawn t ~name body =
   let tid = t.next_tid in
   t.next_tid <- t.next_tid + 1;
   let asid = t.next_asid in
@@ -147,7 +145,6 @@ let spawn t ~name ?account body =
     {
       tid;
       name;
-      account;
       asid;
       state = Ready;
       fiber = Fiber.create ~reply:MR_unit body;
@@ -299,7 +296,7 @@ let dispatch t (tcb : tcb) =
     t.current_asid <- tcb.asid
   end;
   tcb.state <- Running;
-  Accounts.switch_to t.mach.Machine.accounts tcb.account;
+  Accounts.switch_to t.mach.Machine.accounts tcb.name;
   if tcb.burn_left > 0 then begin
     let step = Exec.slice t.mach ~sole:sole_runnable t tcb tcb.burn_left in
     tcb.burn_left <- tcb.burn_left - step;
@@ -316,5 +313,4 @@ let rec pick t =
   | Some tcb when tcb.state = Ready -> Some tcb
   | Some _ -> pick t
 
-let run ?until ?max_dispatches t =
-  Exec.run t.mach ~irqs:ignore ~pick ~dispatch ?until ?max_dispatches t
+let run ?until t = Exec.run t.mach ~irqs:ignore ~pick ~dispatch ?until t

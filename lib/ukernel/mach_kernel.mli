@@ -57,12 +57,12 @@ val create : Vmk_hw.Machine.t -> t
     each message is copied twice (in and out) at the architecture's copy
     cost; port operations pay a rights-check. *)
 
-val spawn : t -> name:string -> ?account:string -> (unit -> unit) -> int
+val spawn : t -> name:string -> (unit -> unit) -> int
 (** Each thread gets its own address space (asid), so a cross-thread
     message also pays the address-space switch, as cross-task Mach IPC
-    did. *)
+    did. Its cycles are charged to the account [name]. *)
 
 type stop_reason = Vmk_hw.Exec.stop_reason = Idle | Condition | Dispatch_limit
 
-val run : ?until:(unit -> bool) -> ?max_dispatches:int -> t -> stop_reason
+val run : ?until:(unit -> bool) -> t -> stop_reason
 val thread_count : t -> int

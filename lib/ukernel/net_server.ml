@@ -62,9 +62,6 @@ type state = {
   ids : hot_ids;
   free_tx : Frame.frame Queue.t;
   admit : Overload.Token_bucket.t option;
-  fair : Overload.Weighted_buckets.t option;
-      (** Per-client fair-share gate behind [admit], keyed on the
-          packet's demux key ([tag / 10⁶], the destination client). *)
   vnet : broker option;
   rx_packets : (int * int) Overload.Bounded_queue.t; (* tag, len *)
   rx_waiters : Sysif.tid Queue.t;
@@ -133,27 +130,17 @@ let rec drain_tx st =
       drain_tx st
   | None -> ()
 
-let fair_shed st (ev : Nic.rx_event) =
-  match st.fair with
-  | None -> false
-  | Some fair ->
-      not
-        (Overload.Weighted_buckets.admit fair
-           ~key:(ev.Nic.tag / 1_000_000)
-           ~now:(Engine.now st.mach.Machine.engine))
-
 let handle_irq st =
   let nic = st.mach.Machine.nic in
   let rec drain_rx () =
     match Nic.rx_ready nic with
     | Some ev ->
         let admitted =
-          (match st.admit with
+          match st.admit with
           | None -> true
           | Some bucket ->
               Overload.Token_bucket.admit bucket
-                ~now:(Engine.now st.mach.Machine.engine))
-          && not (fair_shed st ev)
+                ~now:(Engine.now st.mach.Machine.engine)
         in
         if admitted then accept_rx st ev else shed_rx st ev;
         drain_rx ()
@@ -205,7 +192,7 @@ let poll_round st ~budget =
       in
       List.iteri
         (fun i ev ->
-          if i >= k || fair_shed st ev then shed_rx st ev
+          if i >= k then shed_rx st ev
           else accept_rx st ev)
         evs;
       drain_tx st;
@@ -391,7 +378,7 @@ let handle_client st client (m : Sysif.msg) =
   end
   else reply_safely client (Sysif.msg Proto.error)
 
-let body mach ?admit ?fair ?rx_capacity ?napi ?poll ?(vnet = false) () =
+let body mach ?admit ?rx_capacity ?napi ?poll ?(vnet = false) () =
   let st =
     let c = mach.Machine.counters in
     {
@@ -413,7 +400,6 @@ let body mach ?admit ?fair ?rx_capacity ?napi ?poll ?(vnet = false) () =
         };
       free_tx = Queue.create ();
       admit;
-      fair;
       vnet =
         (if vnet then
            Some

@@ -12,7 +12,6 @@
 val body :
   Vmk_hw.Machine.t ->
   ?admit:Vmk_overload.Overload.Token_bucket.t ->
-  ?fair:Vmk_overload.Overload.Weighted_buckets.t ->
   ?rx_capacity:int ->
   ?napi:int ->
   ?poll:int64 ->
@@ -39,10 +38,6 @@ val body :
     the whole coalesced burst) and re-arms. [poll] is polling-only mode:
     the line is masked for good and the NIC is serviced every [poll]
     cycles off the receive timeout (counter ["drv.net.poll_ticks"]).
-
-    Fair share (E17): [fair] adds per-client weighted admission behind
-    [admit], keyed on the packet's demux key ([tag / 10⁶]) — counters
-    ["overload.fair.admit"], ["overload.fair.shed"].
 
     Vnet broker (E17): [vnet] makes the server the connection broker of
     the L4 inter-guest path. Guest kernels register with

@@ -131,9 +131,8 @@ let service_body mach ~prefix ?connect_timeout ?generation ?net_admit
   in
   serve ()
 
-let net_body mach ?connect_timeout ?generation ?admit ?napi ?poll ~net () =
-  service_body mach ~prefix:net_name ?connect_timeout ?generation
-    ?net_admit:admit ?net_napi:napi ?net_poll:poll ~net ()
+let net_body mach ?connect_timeout ?generation ~net () =
+  service_body mach ~prefix:net_name ?connect_timeout ?generation ~net ()
 
 let blk_body mach ?connect_timeout ?generation ~blk () =
   service_body mach ~prefix:blk_name ?connect_timeout ?generation ~blk ()

@@ -49,9 +49,6 @@ val net_body :
   Vmk_hw.Machine.t ->
   ?connect_timeout:int64 ->
   ?generation:int ->
-  ?admit:Vmk_overload.Overload.Token_bucket.t ->
-  ?napi:int ->
-  ?poll:int64 ->
   net:Net_channel.t list ->
   unit ->
   unit

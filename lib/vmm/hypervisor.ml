@@ -237,8 +237,7 @@ let supervised_domid s = s.current
 let restarts s = List.rev s.restarts
 let stop_supervisor s = s.sup_stop := true
 
-let supervise h ~name ?(privileged = false) ?(weight = 256)
-    ?(pt_mode = Paravirt) ~period ~make_body domid0 =
+let supervise h ~name ?(privileged = false) ~period ~make_body domid0 =
   let sup = { current = domid0; restarts = []; sup_stop = ref false } in
   let n = ref 0 in
   let engine = h.mach.Machine.engine in
@@ -248,8 +247,7 @@ let supervise h ~name ?(privileged = false) ?(weight = 256)
         if not (is_alive h sup.current) then begin
           incr n;
           let domid =
-            create_domain h ~name ~privileged ~weight ~pt_mode
-              (make_body ~restart:!n)
+            create_domain h ~name ~privileged (make_body ~restart:!n)
           in
           sup.current <- domid;
           sup.restarts <- (Engine.now engine, domid) :: sup.restarts;

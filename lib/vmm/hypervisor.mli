@@ -61,8 +61,6 @@ val supervise :
   t ->
   name:string ->
   ?privileged:bool ->
-  ?weight:int ->
-  ?pt_mode:pt_mode ->
   period:int64 ->
   make_body:(restart:int -> unit -> unit) ->
   Hcall.domid ->

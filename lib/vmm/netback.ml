@@ -64,9 +64,6 @@ type t = {
   tx_pending : (int, Hcall.gref) Hashtbl.t;  (** frame index -> gref *)
   admit : Overload.Token_bucket.t option;
       (** Rx admission gate; [None] admits everything (naive). *)
-  fair : Overload.Weighted_buckets.t option;
-      (** Per-sender fair-share gate, keyed on the vnet source decoded
-          from the packet tag; [None] skips it. *)
   napi : (int * Overload.batch_hist) option;
       (** NAPI poll budget and the batch-size histogram it feeds; [None]
           keeps the interrupt-per-packet path. *)
@@ -111,7 +108,7 @@ let pump_frontend_posts t =
 
 (* XenBus handshake; see {!Blkback.connect_opt} for the generation
    scheme shared by both backends. *)
-let connect_opt ?timeout ?(generation = 0) ?admit ?fair ?napi
+let connect_opt ?timeout ?(generation = 0) ?admit ?napi
     ?(attach_nic = true) chan mach () =
   let key = chan.Net_channel.key in
   let sub path =
@@ -149,7 +146,6 @@ let connect_opt ?timeout ?(generation = 0) ?admit ?fair ?napi
                   copy_grants = Queue.create ();
                   tx_pending = Hashtbl.create 32;
                   admit;
-                  fair;
                   napi =
                     Option.map
                       (fun budget ->
@@ -331,28 +327,14 @@ let deliver_admitted t (ev : Nic.rx_event) =
   in
   if ok then t.dirty <- true
 
-(* Fair-share key: the vnet source decoded from the tag convention
-   (tag = dst·10⁶ + src·10⁴ + seq). Meaningful only under the vnet
-   encoding, which is the only place [fair] is installed. *)
-let fair_key tag = tag mod 1_000_000 / 10_000
-
-let fair_shed t (ev : Nic.rx_event) =
-  match t.fair with
-  | None -> false
-  | Some fair ->
-      not
-        (Overload.Weighted_buckets.admit fair ~key:(fair_key ev.Nic.tag)
-           ~now:(Engine.now t.mach.Machine.engine))
-
 let deliver_rx t (ev : Nic.rx_event) =
   let shed =
-    (match t.admit with
+    match t.admit with
     | None -> false
     | Some bucket ->
         not
           (Overload.Token_bucket.admit bucket
-             ~now:(Engine.now t.mach.Machine.engine)))
-    || fair_shed t ev
+             ~now:(Engine.now t.mach.Machine.engine))
   in
   if shed then shed_one t ev else deliver_admitted t ev
 
@@ -370,7 +352,7 @@ let deliver_batch t evs =
   in
   List.iteri
     (fun i ev ->
-      if i >= k || fair_shed t ev then shed_one t ev
+      if i >= k then shed_one t ev
       else deliver_admitted t ev)
     evs
 

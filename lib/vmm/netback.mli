@@ -16,7 +16,6 @@ val connect_opt :
   ?timeout:int64 ->
   ?generation:int ->
   ?admit:Vmk_overload.Overload.Token_bucket.t ->
-  ?fair:Vmk_overload.Overload.Weighted_buckets.t ->
   ?napi:int ->
   ?attach_nic:bool ->
   Net_channel.t ->
@@ -36,11 +35,6 @@ val connect_opt :
     ({!Vmk_overload.Overload.Token_bucket.admit_n}) and push at most one
     event-channel notify per batch; the line is acknowledged and
     re-enabled only when a round comes back empty.
-
-    [fair] adds a per-sender weighted fair-share gate behind [admit],
-    keyed on the vnet source decoded from the packet tag
-    (tag = dst·10⁶ + src·10⁴ + seq) — the E17 aggressor/victim
-    isolation. Only meaningful for vnet-tagged traffic.
 
     [attach_nic:false] (bridge backends, E17) keeps pool frames local
     instead of posting them as physical-NIC receive buffers: this

@@ -55,8 +55,8 @@ let net_rx_stream ?stats ~packets () () =
    packet's (tag, virtual arrival time) so the experiment can compute
    per-packet latency against the injection times. [work] models a slow
    consumer (E17's fair-share and ECN receivers). *)
-let net_rx_probe ?stats ?(work = 0) ~now ~record ~packets () () =
-  let st = match stats with Some s -> s | None -> default () in
+let net_rx_probe ?(work = 0) ~now ~record ~packets () () =
+  let st = default () in
   let rec loop remaining =
     if remaining > 0 then
       if
@@ -128,7 +128,7 @@ let blk_mix ?stats ?(base = 0) ~ops ~span ~seed () () =
    through failures, logging (virtual time, success) per pair so the
    experiment can locate the outage window and the first post-fault
    success. *)
-let blk_retry_stream ?stats ?(base = 0) ~now ~log ~ops ~span ~seed ~pace () () =
+let blk_retry_stream ?stats ~now ~log ~ops ~span ~seed ~pace () () =
   let st = match stats with Some s -> s | None -> default () in
   let state = ref (seed land 0x3fffffff) in
   let next () =
@@ -136,7 +136,7 @@ let blk_retry_stream ?stats ?(base = 0) ~now ~log ~ops ~span ~seed ~pace () () =
     !state
   in
   for i = 0 to ops - 1 do
-    let sector = base + (next () mod span) in
+    let sector = next () mod span in
     let tag = 1 + next () in
     let ok =
       attempt st (fun () ->

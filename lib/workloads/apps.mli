@@ -29,7 +29,6 @@ val net_rx_stream :
     when the network dies. *)
 
 val net_rx_probe :
-  ?stats:stats ->
   ?work:int ->
   now:(unit -> int64) ->
   record:(tag:int -> at:int64 -> unit) ->
@@ -79,7 +78,6 @@ val blk_mix :
 
 val blk_retry_stream :
   ?stats:stats ->
-  ?base:int ->
   now:(unit -> int64) ->
   log:(int64 * bool -> unit) ->
   ops:int ->
@@ -90,7 +88,7 @@ val blk_retry_stream :
   unit ->
   unit
 (** The fault-recovery probe (E13): [ops] write/read-verify pairs over
-    [\[base, base+span)], deterministic in [seed], with [pace] cycles of
+    sectors [\[0, span)], deterministic in [seed], with [pace] cycles of
     user work between pairs. Unlike {!blk_mix} it does NOT stop on
     failure — each pair's outcome is passed to [log] as
     [(now (), success)], so the experiment can measure the outage window

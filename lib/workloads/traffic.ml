@@ -21,7 +21,7 @@ let constant_rate mach ~gate ~period ~len ~count ?(key = 1) ?on_inject () =
       else false);
   t
 
-let poisson_rate mach ~gate ~mean_period ~len ~count ?(key = 1) () =
+let poisson_rate mach ~gate ~mean_period ~len ~count () =
   let t = { injected = 0; count } in
   let rng = Rng.split mach.Machine.rng in
   (* Schedule against absolute deadlines, not dispatch time: a long burn
@@ -29,7 +29,7 @@ let poisson_rate mach ~gate ~mean_period ~len ~count ?(key = 1) () =
   let rec schedule at =
     Engine.at mach.Machine.engine at (fun () ->
         if t.injected < count then begin
-          if gate () then inject mach t ~key ~len;
+          if gate () then inject mach t ~key:1 ~len;
           let delay =
             Int64.of_float (max 1.0 (Rng.exponential rng ~mean:mean_period))
           in

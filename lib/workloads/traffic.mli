@@ -32,11 +32,10 @@ val poisson_rate :
   mean_period:float ->
   len:int ->
   count:int ->
-  ?key:int ->
   unit ->
   t
 (** Exponentially distributed inter-arrival times with the given mean,
-    drawn from the machine's seeded RNG. *)
+    drawn from the machine's seeded RNG; packets carry demux key 1. *)
 
 val replay :
   Vmk_hw.Machine.t ->
