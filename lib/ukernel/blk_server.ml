@@ -1,9 +1,7 @@
 module Machine = Vmk_hw.Machine
 module Frame = Vmk_hw.Frame
 module Disk = Vmk_hw.Disk
-module Engine = Vmk_sim.Engine
 module Counter = Vmk_trace.Counter
-module Overload = Vmk_overload.Overload
 module Cap = Vmk_cap.Cap
 
 let account = "drv.blk"
