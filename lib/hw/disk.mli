@@ -2,10 +2,10 @@
 
     A simple latency-modelled disk: requests complete after 40,000
     cycles plus 8 cycles per byte (a fast 2005 disk with cache) and raise
-    the disk's interrupt line. Sector contents are content tags (see {!Frame}), persisted in a
-    sector store so reads after writes verify data integrity across the
-    block stack (native driver, blkfront/blkback, Parallax, L4 driver
-    server).
+    the disk's interrupt line. Sector contents are content tags (see
+    {!Frame}), persisted in a sector store so reads after writes verify
+    data integrity across the block stack (native driver,
+    blkfront/blkback, Parallax, L4 driver server).
 
     Fault injection (E13): {!set_faults} installs transient fault windows.
     Inside a window a request may complete with [ok = false] ([Fail]) or

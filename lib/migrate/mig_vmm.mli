@@ -31,10 +31,10 @@ val migrate :
 (** One migration attempt. Defaults: 64 pages, 400 steps, the default
     workload, {!Migrate.precopy}, no injection. The migration daemon
     starts after 200K cycles and pays 2,000 cycles per page and 4,000
-    per state message; the machine seed is 97. [plan] is armed on the source machine with
-    {!Migrate.inject} as the [migration] callback (plus a kill hook for
-    ["guest"]), so time-based [Mig_fault] events drive the same abort
-    machinery as [abort_at]. *)
+    per state message; the machine seed is 97. [plan] is armed on the
+    source machine with {!Migrate.inject} as the [migration] callback
+    (plus a kill hook for ["guest"]), so time-based [Mig_fault] events
+    drive the same abort machinery as [abort_at]. *)
 
 val reference : ?pages:int -> ?steps:int -> ?w:Migrate.Workload.t -> unit ->
   Migrate.Image.t
@@ -58,9 +58,9 @@ val driver_handoff :
   handoff
 (** Migrate the bridge driver domain in place while a client streams
     packets through it under a packet storm from a third guest — the
-    E14 overload condition. [`Planned]: the toolstack
-    builds the generation [n+1] incarnation {e first}, then destroys
-    the old one, so frontends reconnect into a waiting backend.
+    E14 overload condition. [`Planned]: the toolstack builds the
+    generation [n+1] incarnation {e first}, then destroys the old one,
+    so frontends reconnect into a waiting backend.
     [`Crash]: the old incarnation is destroyed first and the
     replacement is only built after a supervision-poll delay — the E13
     crash-restart baseline. The client retries with

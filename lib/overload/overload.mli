@@ -173,7 +173,8 @@ module Backoff : sig
     ?jitter:int ->
     Vmk_sim.Rng.t ->
     t
-  (** Defaults: 5 attempts, base 100k cycles, cap 3.2M, jitter 1000. Split the machine RNG for the stream. *)
+  (** Defaults: 5 attempts, base 100k cycles, cap 3.2M, jitter 1000.
+      Split the machine RNG for the stream. *)
 
   val delay : t -> attempt:int -> int64
   (** Delay before retrying after failed attempt [attempt] (0-based).

@@ -26,8 +26,9 @@ val body :
     per-packet work (counters ["drv.net.rx_shed"], ["overload.shed"]).
     [rx_capacity] bounds the received-packet queue (default unbounded —
     the naive configuration that livelocks); overflow drops the oldest
-    packet (counters ["drv.net.rx_drop"], ["overload.drop"]). A [net_send] finding no free transmit buffer
-    answers {!Proto.busy} (retryable) rather than {!Proto.error}.
+    packet (counters ["drv.net.rx_drop"], ["overload.drop"]). A
+    [net_send] finding no free transmit buffer answers {!Proto.busy}
+    (retryable) rather than {!Proto.error}.
 
     Interrupt mitigation (E16): [napi] switches the interrupt path to
     NAPI-style hybrid service — the first IRQ-IPC masks the line

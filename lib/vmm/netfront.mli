@@ -17,18 +17,19 @@ val connect :
   unit ->
   t
 (** Perform the frontend half of the handshake (publishes the unbound
-    port, pre-posts 32 receive buffers). Must be
-    called from the guest fiber before the backend connects. [arch]
-    prices the guest-side packet copies (default {!Vmk_hw.Arch.default});
-    pass the machine's profile on other platforms. *)
+    port, pre-posts 32 receive buffers). Must be called from the guest
+    fiber before the backend connects. [arch] prices the guest-side
+    packet copies (default {!Vmk_hw.Arch.default}); pass the machine's
+    profile on other platforms. *)
 
 val restore : Net_channel.t -> generation:int -> unit -> t
 (** Rebuild a frontend from migrated state on the destination machine
-    (E20), pricing packet copies at {!Vmk_hw.Arch.default}. The returned handle starts {!backend_dead} — the source's
-    backend is gone — with the source's [generation], so the normal
-    {!reconnect} path performs the handshake against the destination
-    backend once it publishes a higher [key/gen]. Allocates fresh
-    transmit frames from the caller's (destination) reservation. *)
+    (E20), pricing packet copies at {!Vmk_hw.Arch.default}. The returned
+    handle starts {!backend_dead} — the source's backend is gone — with
+    the source's [generation], so the normal {!reconnect} path performs
+    the handshake against the destination backend once it publishes a
+    higher [key/gen]. Allocates fresh transmit frames from the caller's
+    (destination) reservation. *)
 
 val port : t -> Hcall.port
 (** The frontend's event-channel port (to match against

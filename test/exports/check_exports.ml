@@ -17,17 +17,17 @@ let strip_comments s =
   let n = String.length s in
   let b = Buffer.create n in
   let rec skip_string i =
-    if i >= n then i
+    if i >= n then n
     else if s.[i] = '\\' then skip_string (i + 2)
     else if s.[i] = '"' then i + 1
     else skip_string (i + 1)
   in
+  let at i c = i < n && s.[i] = c in
   let rec go i depth =
     if i >= n then ()
-    else if i + 1 < n && s.[i] = '(' && s.[i + 1] = '*' then go (i + 2) (depth + 1)
-    else if depth > 0 && i + 1 < n && s.[i] = '*' && s.[i + 1] = ')' then
-      go (i + 2) (depth - 1)
-    else if i + 2 < n && s.[i] = '\'' && s.[i + 1] = '"' && s.[i + 2] = '\'' then begin
+    else if at i '(' && at (i + 1) '*' then go (i + 2) (depth + 1)
+    else if depth > 0 && at i '*' && at (i + 1) ')' then go (i + 2) (depth - 1)
+    else if at i '\'' && at (i + 1) '"' && at (i + 2) '\'' then begin
       if depth = 0 then Buffer.add_string b "'\"'";
       go (i + 3) depth
     end
@@ -72,7 +72,8 @@ let rec sources dir =
          let path = Filename.concat dir name in
          if name.[0] = '.' || name.[0] = '_' then []
          else if Sys.is_directory path then sources path
-         else if Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
+         else if
+           Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
          then [ path ]
          else [])
 
@@ -81,8 +82,9 @@ let declared_vals text =
   String.split_on_char '\n' text
   |> List.filter_map (fun line ->
          let line = String.trim line in
-         if String.length line > 4 && String.sub line 0 4 = "val " then begin
-           let rest = String.trim (String.sub line 4 (String.length line - 4)) in
+         let len = String.length line in
+         if len > 4 && String.sub line 0 4 = "val " then begin
+           let rest = String.trim (String.sub line 4 (len - 4)) in
            let j = ref 0 in
            while !j < String.length rest && is_ident_char rest.[!j] do
              incr j
@@ -116,7 +118,10 @@ let () =
                && Filename.dirname (Filename.dirname f) = lib)
              files)
       in
-      List.iter (fun (mli, v) -> Printf.printf "%s: val %s is used by no other module\n" mli v) unused;
+      List.iter
+        (fun (mli, v) ->
+          Printf.printf "%s: val %s is used by no other module\n" mli v)
+        unused;
       if unused <> [] then begin
         Printf.printf "%d unused export(s)\n" (List.length unused);
         exit 1
