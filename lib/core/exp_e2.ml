@@ -1,5 +1,4 @@
 module Machine = Vmk_hw.Machine
-module Arch = Vmk_hw.Arch
 module Table = Vmk_stats.Table
 module Kernel = Vmk_ukernel.Kernel
 module Sysif = Vmk_ukernel.Sysif

@@ -15,7 +15,6 @@ module Port_xen = Vmk_guest.Port_xen
 module Port_l4 = Vmk_guest.Port_l4
 module Apps = Vmk_workloads.Apps
 module Traffic = Vmk_workloads.Traffic
-module Engine = Vmk_sim.Engine
 
 type fate = {
   participant : string;

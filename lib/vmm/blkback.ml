@@ -1,4 +1,3 @@
-module Frame = Vmk_hw.Frame
 module Machine = Vmk_hw.Machine
 module Disk = Vmk_hw.Disk
 module Counter = Vmk_trace.Counter

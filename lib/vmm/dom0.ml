@@ -1,4 +1,3 @@
-module Machine = Vmk_hw.Machine
 
 let name = "dom0"
 

@@ -1,6 +1,5 @@
 module Frame = Vmk_hw.Frame
 module Arch = Vmk_hw.Arch
-module Machine = Vmk_hw.Machine
 
 type t = {
   chan : Net_channel.t;
