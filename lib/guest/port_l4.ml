@@ -79,9 +79,7 @@ let vnet ~mach ~port ?mark_at () =
         vi_drop = Counter.id c Overload.drop_counter;
       };
     v_port = port;
-    v_rx =
-      Overload.Bounded_queue.create ~policy:Overload.Bounded_queue.Reject
-        ?mark_at ~capacity:64 ();
+    v_rx = Overload.Bounded_queue.create ?mark_at ~capacity:64 ();
     v_peers = Hashtbl.create 8;
     v_opened = Hashtbl.create 8;
     v_unknown = Hashtbl.create 8;
